@@ -38,8 +38,8 @@ Four measurements:
    crosses the temp-file threshold — campaign payload size with the
    patterns parked vs inlined, identity gated.
 10. **Vector core**: the packed-64 compiled SEU campaign against the
-    vector tier at 256 and 1024 lanes (big-int backing, plus an honest
-    forced-ndarray row) — identity vs the per-point reference is
+    vector tier at 256 and 1024 lanes (big-int backing) — identity vs
+    the per-point reference is
     required unconditionally at every width, and the 256-lane row
     carries the >= 2x-over-packed CI gate (target >= 3x).  The section
     also records the source-interning effect on a cold det-program
@@ -613,8 +613,7 @@ def _vector_core_measurement(n_cycles=120):
 
     variants = (("w64_packed", 64, None),
                 ("w256_vector", 256, None),
-                ("w1024_vector", 1024, None),
-                ("w1024_ndarray", 1024, "ndarray"))
+                ("w1024_vector", 1024, None))
     rows = {}
     identical = True
     for label, width, backing in variants:
@@ -737,21 +736,15 @@ def _soa_core_measurement(n_cycles=24, probe_points=48):
     for width in (256, 1024, 4096):
         group = points[:width]
         times, outcomes = {}, {}
-        # the per-net ndarray row rides along as the honest baseline the
-        # SoA tier replaces (it loses to int everywhere below ~32k lanes)
-        for backing in ("int", "ndarray", "soa"):
+        for backing in ("int", "soa"):
             ctx = _lanes.build_context(circuit, workload, width,
                                        backing=backing)
             times[backing], outcomes[backing] = timed(ctx, group)
-        same = (outcomes["int"] == outcomes["soa"]
-                == outcomes["ndarray"])
+        same = outcomes["int"] == outcomes["soa"]
         identical = identical and same
         rows[f"w{width}"] = {
             "int_s": round(times["int"], 4),
-            "ndarray_s": round(times["ndarray"], 4),
             "soa_s": round(times["soa"], 4),
-            "ndarray_speedup": round(times["int"] / times["ndarray"], 2)
-            if times["ndarray"] else float("inf"),
             "soa_speedup": round(times["int"] / times["soa"], 2)
             if times["soa"] else float("inf"),
             "identical": same,
@@ -932,9 +925,10 @@ def _service_resilience_measurement(n_cycles=60, rounds=3):
     import os
     import tempfile
 
+    import signal
+
     from repro.engine import HostChaos, HostFault, shutdown_pools
-    from repro.service import CampaignQueue, CampaignWorker, \
-        run_service_campaign
+    from repro.service import CampaignQueue, CampaignWorker, LocalWorkerPool
 
     # earlier sections leave persistent process pools (and their handler
     # threads) alive; on a small host they skew the single-worker timing
@@ -948,8 +942,7 @@ def _service_resilience_measurement(n_cycles=60, rounds=3):
     def make_backend():
         return SeuBackend(circuit.copy(), workload, lane_width=1)
 
-    # identity scenario: 24 chunks of 30, so the sabotaged worker gets to
-    # its 2nd claim before its peers drain the lease table.  Overhead
+    # identity scenario: 24 chunks of 30.  Overhead
     # measurement: a 2x-longer workload in 60-point chunks — the cadence
     # real campaigns run at, long enough that per-campaign constants
     # (submit, plan, report replay) amortize the way they do in practice.
@@ -971,18 +964,27 @@ def _service_resilience_measurement(n_cycles=60, rounds=3):
 
     # identity under host chaos: 4 local worker processes, one SIGKILLed
     # the moment it claims its 2nd lease — its chunk must be reassigned
-    # (deadline expiry) and the assembled report must stay byte-identical
+    # (deadline expiry) and the assembled report must stay byte-identical.
+    # The 3 peers are held until the scripted worker has died, so the
+    # fault fires on every run instead of racing a drained lease table.
     with tempfile.TemporaryDirectory(prefix="repro-bench-svc-") as tmp:
         db_path = os.path.join(tmp, "service.sqlite")
-        report = run_service_campaign(
-            make_backend(), config, db_path=db_path, n_workers=4,
-            worker_kwargs={"lease_ttl": 1.0},
-            per_worker={1: {"chaos": HostChaos(
-                [HostFault("sigkill", after_chunks=2)])}},
-            wait_timeout=300)
         with CampaignQueue(db_path) as queue:
-            job = queue.poll(1)
-            takeovers = queue.leases.takeover_total(job.campaign_id)
+            job_id = queue.submit(make_backend(), config)
+        victim = LocalWorkerPool(db_path, 1, worker_kwargs={
+            "lease_ttl": 1.0, "worker_id": "victim",
+            "chaos": HostChaos([HostFault("sigkill", after_chunks=2)])})
+        victim.start()
+        victim.join(timeout=300)
+        fault_fired = victim.procs[0].exitcode == -signal.SIGKILL
+        with LocalWorkerPool(db_path, 3, worker_kwargs={"lease_ttl": 1.0}):
+            with CampaignQueue(db_path) as queue:
+                job = queue.wait(job_id, timeout=300)
+                if job.state != "done":
+                    raise RuntimeError(f"service campaign did not finish: "
+                                       f"{job}")
+                report = queue.result(job_id)
+                takeovers = queue.leases.takeover_total(job.campaign_id)
     report_identical = signature(report) == signature(reference)
 
     # lease/heartbeat cost: a clean single-worker service run (submit →
@@ -1027,6 +1029,7 @@ def _service_resilience_measurement(n_cycles=60, rounds=3):
         "overhead_population": len(circuit.flops) * 2 * n_cycles,
         "n_workers": 4,
         "report_identical": report_identical,
+        "fault_fired": fault_fired,
         "takeovers": takeovers,
         "direct_s": round(direct_s, 4),
         "service_s": round(service_s, 4),
@@ -1135,9 +1138,8 @@ def test_engine_smoke(benchmark):
     soa = record["soa_core"]
     if "grid" in soa:
         for key, row in soa["grid"].items():
-            rows.append((f"soa {key} int/ndarray/soa",
-                         f"{row['int_s']:.3f}s / {row['ndarray_s']:.3f}s"
-                         f" / {row['soa_s']:.3f}s",
+            rows.append((f"soa {key} int/soa",
+                         f"{row['int_s']:.3f}s / {row['soa_s']:.3f}s",
                          f"{soa['gates_per_level']} gates/level, "
                          f"{soa['fused_ops']} fused ops",
                          f"{row['soa_speedup']:.2f}x"

@@ -34,7 +34,8 @@ when the engine's perf claims regress:
   costs more than 5% on a no-fault run;
 * the campaign service lost report identity — a 4-worker run with one
   worker SIGKILLed mid-campaign must reproduce the serial reference
-  byte-for-byte (unconditional) — or the lease/heartbeat machinery
+  byte-for-byte (unconditional), the scripted SIGKILL must fire and
+  its lease be taken over — or the lease/heartbeat machinery
   costs more than 5% over a direct single-worker engine run;
 * on a multicore host, the process executor at 4 workers is slower than
   serial on the SEU workload; on hosts with >= 4 CPUs the >= 2x
@@ -212,6 +213,10 @@ def check(record: dict) -> list[str]:
             failures.append(
                 "campaign service (4 workers, one SIGKILLed) no longer "
                 "reproduces the serial report byte-for-byte")
+        if not svc["fault_fired"]:
+            failures.append(
+                "service SIGKILL scenario: the scripted worker was not "
+                "killed by its fault")
         if svc["takeovers"] < 1:
             failures.append(
                 "service SIGKILL scenario saw no lease takeover — the "

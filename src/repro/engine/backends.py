@@ -164,9 +164,8 @@ class SeuBackend:
     :func:`inject_seu` path for parity testing.  Widths above 64 run on
     the vector tier: packed big ints by default, the level-batched SoA
     kernel via ``lane_backing="soa"`` (auto from ~1k lanes on circuits
-    with wide levels), or per-net numpy block arrays via
-    ``lane_backing="ndarray"`` — see :mod:`repro.sim.vector` for the
-    crossovers and overrides.  Without numpy they degrade to 64 with a
+    with wide levels) — see :mod:`repro.sim.vector` for the crossovers
+    and overrides.  Without numpy they degrade to 64 with a
     logged warning.  Outcomes are byte-identical at every width and
     backing.
 

@@ -183,15 +183,18 @@ class EngineConfig:
 
     ``max_chunk_retries`` bounds how often a *failing* chunk is re-run
     (with exponential backoff starting at ``retry_backoff_s``) before it
-    is quarantined; ``chunk_timeout`` (seconds, ``None`` = wait forever)
-    declares a dispatched chunk hung when its result is overdue — the
-    pool is abandoned, execution degrades one rung of the recovery
-    ladder, and the chunk is retried like any other failure (parent-side
-    retries run against the same deadline, so a deterministic hang
-    quarantines instead of blocking the campaign).
-    ``commit_every`` is now the chunk-checkpoint cadence: every commit
-    is a crash-consistent batch of per-chunk records that ``resume=``
-    can restart from.
+    is quarantined — by the parent in :func:`run_campaign`, and across
+    all workers in the campaign service, which spends the same budget
+    and backoff through :class:`CampaignLedger`.  ``chunk_timeout``
+    (seconds, ``None`` = wait forever) declares a dispatched chunk hung
+    when its result is overdue — the pool is abandoned, execution
+    degrades one rung of the recovery ladder, and the chunk is retried
+    like any other failure (parent-side retries run against the same
+    deadline, so a deterministic hang quarantines instead of blocking
+    the campaign).  ``commit_every`` is the chunk-checkpoint cadence:
+    every commit is a crash-consistent batch of per-chunk records that
+    ``resume=`` can restart from (service workers batch their claims
+    and records at the same cadence).
     """
 
     batch_size: int = 64
@@ -352,10 +355,10 @@ def stop_satisfied(stop: EarlyStop | None, accounted_total: int,
     ``accounted_total`` is every point with a known outcome so far
     (executed + filter-census); the filtered stratum has zero variance,
     so the executed sample's Wilson half-width is scaled by the kept
-    stratum's share of the campaign.  The service layer replays this
-    exact check over a campaign's committed chunk prefix, so a
-    distributed early stop lands on the same chunk a serial run stops
-    at.
+    stratum's share of the campaign.  :class:`CampaignLedger` makes
+    this check after every accounted chunk, whether the chunk was just
+    executed or replayed from a committed record — which is how a
+    service run stops on the same chunk a serial run stops at.
     """
     if stop is None or accounted_total < stop.min_injections:
         return False
@@ -453,6 +456,303 @@ def plan_campaign(backend: InjectionBackend,
 RETRY_BACKOFF_CAP_S = 2.0
 
 
+class CampaignLedger:
+    """The books of one campaign: every accounting decision in one place.
+
+    A ledger folds chunk results into a :class:`CampaignReport` strictly
+    in chunk order (``accounted`` is the first chunk not yet folded),
+    keeps the early-stop tally, and writes the campaign's
+    :class:`CampaignDb` records: the campaign row with its filter
+    census, per-chunk checkpoints, and quarantine records.
+    :func:`run_campaign` feeds one from its executors; a campaign
+    service worker uses one for its records, result checks and retry
+    budget; and the service's completion check and report are ledgers
+    replaying committed records — so a service run cannot disagree with
+    a serial one on what a chunk produced, where the campaign converged,
+    or how a failed chunk is recorded.
+    """
+
+    def __init__(self, backend: InjectionBackend, config: EngineConfig,
+                 plan: CampaignPlan, db: CampaignDb | None = None,
+                 on_chunk: Callable[[CampaignReport], None] | None = None
+                 ) -> None:
+        self.backend = backend
+        self.config = config
+        self.plan = plan
+        self.db = db
+        self.on_chunk = on_chunk
+        self.report = CampaignReport(
+            backend=backend.name,
+            circuit=backend.circuit_name,
+            fault_model=backend.fault_model,
+            workload=backend.workload,
+            skipped=plan.skipped,
+            population=plan.population,
+            planned=plan.planned,
+            n_workers=max(1, config.workers),
+        )
+        self.accounted = 0  # index of the first chunk not yet accounted
+        # executed chunks awaiting checkpoint: (index, rows, attempts,
+        # error), committed as one transaction every ``commit_every``
+        self._pending: list[tuple[int, list, int, str | None]] = []
+        self._hits = 0  # executed injections with the early-stop outcome
+        self._start = time.perf_counter()
+        # a filter that resolves every point (or enough that the residual
+        # uncertainty cannot exceed the margin) converges with zero
+        # execution
+        self.report.converged = bool(plan.skipped) and self.converged_now()
+
+    # -- the campaign row ------------------------------------------------
+    def create(self, executor: str) -> int:
+        """Create the campaign row and its filter-census rows.
+
+        Both land in ONE transaction (joining the caller's, if any): the
+        campaign record exists iff its census rows do, so a crash here
+        leaves nothing a resume or a replay could half-see.
+        """
+        backend, config, plan, db = self.backend, self.config, self.plan, \
+            self.db
+        with db.transaction():
+            campaign_id = db.create_campaign(
+                name=f"{backend.name}:{backend.circuit_name}",
+                circuit=backend.circuit_name,
+                fault_model=backend.fault_model,
+                workload=backend.workload,
+                params={
+                    "batch_size": config.batch_size,
+                    "chunk_size": plan.batch_size,
+                    "workers": config.workers,
+                    "executor": executor,
+                    "lane_width": plan.lane_width,
+                    "sample": config.sample,
+                    "seed": config.seed,
+                    "filtered": len(plan.skipped),
+                    "early_stop": (config.early_stop.outcome
+                                   if config.early_stop else None),
+                    "fingerprint": plan.fingerprint,
+                },
+            )
+            if plan.skipped:  # filtered outcomes are first-class rows
+                db.record_many(campaign_id,
+                               [inj.row() for inj in plan.skipped])
+        self.report.campaign_id = campaign_id
+        return campaign_id
+
+    def open(self, campaign_id: int) -> None:
+        """Attach to an existing campaign; its stored fingerprint must
+        match this ledger's plan (same backend identity and config)."""
+        if self.db is None:
+            raise ValueError(
+                "resume requires the CampaignDb the campaign was "
+                "checkpointed to")
+        stored = self.db.campaign_params(campaign_id).get("fingerprint")
+        if stored != self.plan.fingerprint:
+            raise ValueError(
+                f"campaign {campaign_id} was checkpointed with a different "
+                f"backend/config (fingerprint {stored!r} != "
+                f"{self.plan.fingerprint!r}); resume needs the identical "
+                "campaign")
+        self.report.campaign_id = campaign_id
+
+    # -- chunk results ---------------------------------------------------
+    def converged_now(self) -> bool:
+        """Is the overall outcome rate pinned down tightly enough?"""
+        report = self.report
+        return stop_satisfied(self.config.early_stop, report.total,
+                              self._hits, report.executed,
+                              self.plan.n_kept, self.plan.planned)
+
+    def validate(self, batch: Any, index: int) -> None:
+        """O(1) shape check on a chunk result: a malformed batch (a
+        crashed deserialization, a corrupted return) becomes a chunk
+        failure — retried, then quarantined — not corrupt accounting."""
+        n_points = len(self.plan.chunks[index])
+        if (not isinstance(batch, list) or len(batch) != n_points
+                or (batch and not isinstance(batch[0], Injection))):
+            got = (f"{type(batch).__name__}[{len(batch)}]"
+                   if isinstance(batch, (list, tuple))
+                   else type(batch).__name__)
+            raise _executors.ChunkError(ValueError(
+                f"malformed result for chunk {index}: expected "
+                f"{n_points} Injection entries, got {got}"))
+
+    def account(self, batch: list[Injection], attempts: int = 1,
+                checkpoint: bool = True) -> bool:
+        """Fold chunk ``accounted`` into the report, checkpointing it as
+        run ``attempts`` times; True = converged.
+
+        Early stop treats filtered points as a *census* of their stratum
+        (known outcomes, zero variance): only the executed sample of the
+        kept points is uncertain, and a running tally keeps the check
+        O(batch), not O(history).
+        """
+        index = self.accounted
+        self.validate(batch, index)
+        self.accounted += 1
+        report = self.report
+        report.injections.extend(batch)
+        stop = self.config.early_stop
+        if stop is not None:
+            self._hits += sum(1 for inj in batch
+                              if inj.outcome == stop.outcome)
+        if checkpoint and report.campaign_id is not None:
+            self._pending.append((index, [inj.row() for inj in batch],
+                                  attempts, None))
+            if len(self._pending) >= max(1, self.config.commit_every):
+                self.flush()
+        if self.on_chunk is not None:
+            self.on_chunk(report)
+        report.converged = self.converged_now()
+        return report.converged
+
+    def guarded_account(self, batch: list[Injection]) -> bool:
+        """:meth:`account` as handed to the executors: errors from the
+        accounting path are tagged :class:`_AccountingError` so the
+        recovery ladder re-raises them raw instead of mistaking them for
+        chunk or pool failures (an ``OSError`` from a checkpoint flush
+        must not burn a chunk's retry budget)."""
+        try:
+            return self.account(batch)
+        except _executors.ChunkError:
+            raise  # malformed batch: a chunk failure, retried as usual
+        except Exception as exc:
+            raise _AccountingError(exc) from exc
+
+    # -- records ---------------------------------------------------------
+    def record(self, index: int, rows: list[tuple[str, int, str]],
+               attempts: int, error: str | None = None) -> None:
+        """Write chunk ``index``'s record now: its rows (``done``) or,
+        given an ``error``, a row-less quarantine record (``failed``)."""
+        self.db.record_chunk(
+            self.report.campaign_id, index, rows,
+            seed=self.plan.seeds[index],
+            status="done" if error is None else "failed",
+            attempts=attempts, error=error)
+
+    def flush(self) -> None:
+        """Commit the pending chunk checkpoints as one transaction."""
+        pending, self._pending = self._pending, []
+        if pending:
+            with self.db.transaction():
+                for args in pending:
+                    self.record(*args)
+
+    def close(self) -> None:
+        """Flush checkpoints, then (clean completion only) call the
+        backend's optional ``campaign_finished`` hook: a backend may
+        release campaign-scoped scratch there (e.g. ChaosBackend unlinks
+        its cross-process attempt markers).  An aborted campaign never
+        gets here and keeps the scratch — a resume may need it."""
+        self.flush()
+        finished = getattr(self.backend, "campaign_finished", None)
+        if finished is not None:
+            finished()
+        self.report.elapsed_s = time.perf_counter() - self._start
+
+    # -- retries and quarantine ------------------------------------------
+    def exhausted(self, failures: int) -> bool:
+        """Has a chunk that failed ``failures`` times spent its retry
+        budget (``max_chunk_retries`` re-runs after the first failure)?"""
+        return failures > self.config.max_chunk_retries
+
+    def retry_delay(self, failures: int) -> float:
+        """Backoff before re-running a chunk that failed ``failures``
+        times: exponential from ``retry_backoff_s``, capped."""
+        return min(RETRY_BACKOFF_CAP_S,
+                   self.config.retry_backoff_s * 2 ** (failures - 1))
+
+    def retry_or_quarantine(self, cause: BaseException) -> None:
+        """Chunk ``accounted`` failed: bounded-backoff retries in the
+        calling process (immune to pool state), then quarantine."""
+        index = self.accounted
+        chunk, seed = self.plan.chunks[index], self.plan.seeds[index]
+        failures = 1
+        error: BaseException = cause
+        while not self.exhausted(failures):
+            delay = self.retry_delay(failures)
+            log.warning(
+                "engine: chunk %d failed (%s: %s); retry %d/%d in the "
+                "parent after %.2fs", index, type(error).__name__, error,
+                failures, self.config.max_chunk_retries, delay)
+            if delay > 0:
+                time.sleep(delay)
+            try:
+                self.backend.prepare()
+                # the retry honours chunk_timeout too: a deterministically
+                # hung chunk must exhaust its budget and quarantine, not
+                # block the campaign forever in the parent
+                batch = _executors.execute_chunk_timed(
+                    self.backend, chunk, seed, self.config.chunk_timeout)
+                self.validate(batch, index)
+            except Exception as exc:
+                error = (exc.cause
+                         if isinstance(exc, _executors.ChunkError) else exc)
+                failures += 1
+                continue
+            self.report.retried_chunks += 1
+            self.account(batch, attempts=failures + 1)
+            return
+        log.error(
+            "engine: quarantining chunk %d (%d points) after %d failed "
+            "execution(s) (%s: %s)", index, len(chunk), failures,
+            type(error).__name__, error)
+        error_text = f"{type(error).__name__}: {error}"
+        self._quarantine(failures, error_text)
+        if self.report.campaign_id is not None:
+            # the campaign just proved unstable: checkpoint immediately
+            self._pending.append((index, [], failures, error_text))
+            self.flush()
+
+    def _quarantine(self, attempts: int, error: str) -> None:
+        index = self.accounted
+        self.accounted += 1
+        self.report.quarantined.append(QuarantinedChunk(
+            index=index, n_points=len(self.plan.chunks[index]),
+            attempts=attempts, error=error))
+
+    # -- replay ----------------------------------------------------------
+    def replay(self, quarantined: bool = True) -> None:
+        """Walk the campaign's committed chunk records in chunk order
+        through :meth:`account` — same early-stop arithmetic — without
+        executing or re-checkpointing anything.
+
+        The walk stops at convergence or at the first chunk without a
+        record.  A ``failed`` record is accounted as a quarantined chunk
+        and the walk carries on, as a serial run does; with
+        ``quarantined=False`` it ends the walk instead, so a resume
+        re-executes the quarantined chunk.
+        """
+        chunks = self.plan.chunks
+        if self.report.converged or self.accounted >= len(chunks):
+            return
+        campaign_id = self.report.campaign_id
+        records = self.db.chunk_records(campaign_id)
+        rows = self.db.chunk_rows(campaign_id)
+        while not self.report.converged and self.accounted < len(chunks):
+            i = self.accounted
+            record = records.get(i)
+            if record is None:
+                break
+            if record.status != "done":
+                if not quarantined:
+                    break
+                self._quarantine(record.attempts, record.error or "")
+                continue
+            chunk_rows = rows.get(i, [])
+            if len(chunk_rows) != len(chunks[i]):
+                raise ValueError(
+                    f"campaign {campaign_id} checkpointed "
+                    f"{len(chunk_rows)} rows for chunk {i} of "
+                    f"{len(chunks[i])} points; the database does not "
+                    "match this campaign")
+            self.report.resumed_chunks += 1
+            self.account([Injection(point=point, location=loc, cycle=cyc,
+                                    outcome=out)
+                          for point, (loc, cyc, out)
+                          in zip(chunks[i], chunk_rows)],
+                         checkpoint=False)
+
+
 def _campaign_fingerprint(backend: InjectionBackend, config: EngineConfig,
                           batch_size: int, lane_width: int,
                           population: int, planned: int) -> str:
@@ -533,201 +833,39 @@ def run_campaign(
     accounting path itself (``on_chunk`` hooks, database writes) are
     *not* retried: they propagate and abort the campaign.
     """
-    plan_spec = plan_campaign(backend, config)
-    points, skipped = plan_spec.points, plan_spec.skipped
-    chunks, seeds = plan_spec.chunks, plan_spec.seeds
-    lane_width = plan_spec.lane_width
-    batch_size = plan_spec.batch_size
-    population, planned = plan_spec.population, plan_spec.planned
-    fingerprint = plan_spec.fingerprint
-
-    report = CampaignReport(
-        backend=backend.name,
-        circuit=backend.circuit_name,
-        fault_model=backend.fault_model,
-        workload=backend.workload,
-        skipped=skipped,
-        population=population,
-        planned=planned,
-        n_workers=max(1, config.workers),
-    )
-    done_records: dict[int, Any] = {}
-    done_rows: dict[int, list[tuple[str, int, str]]] = {}
+    ledger = CampaignLedger(backend, config, plan_campaign(backend, config),
+                            db=db, on_chunk=on_chunk)
     if resume is not None:
-        if db is None:
-            raise ValueError(
-                "resume requires the CampaignDb the campaign was "
-                "checkpointed to")
-        stored = db.campaign_params(resume).get("fingerprint")
-        if stored != fingerprint:
-            raise ValueError(
-                f"campaign {resume} was checkpointed with a different "
-                f"backend/config (fingerprint {stored!r} != "
-                f"{fingerprint!r}); resume needs the identical campaign")
-        report.campaign_id = resume
-        done_records = db.chunk_records(resume)
-        done_rows = db.chunk_rows(resume)
+        ledger.open(resume)
+        # the committed prefix replays; quarantined chunks re-execute
+        ledger.replay(quarantined=False)
     elif db is not None:
-        # campaign row + filtered outcomes land in ONE transaction: the
-        # campaign record exists iff its census rows do, so a crash here
-        # leaves nothing a resume could half-see
-        with db.transaction():
-            report.campaign_id = db.create_campaign(
-                name=f"{backend.name}:{backend.circuit_name}",
-                circuit=backend.circuit_name,
-                fault_model=backend.fault_model,
-                workload=backend.workload,
-                params={
-                    "batch_size": config.batch_size,
-                    "chunk_size": batch_size,
-                    "workers": config.workers,
-                    "executor": config.executor,
-                    "lane_width": lane_width,
-                    "sample": config.sample,
-                    "seed": config.seed,
-                    "filtered": len(skipped),
-                    "early_stop": (config.early_stop.outcome
-                                   if config.early_stop else None),
-                    "fingerprint": fingerprint,
-                },
-            )
-            if skipped:  # filtered outcomes are first-class rows in the DB
-                db.record_many(report.campaign_id,
-                               [inj.row() for inj in skipped])
+        ledger.create(config.executor)
+    _execute(ledger, resume is not None)
+    ledger.close()
+    return ledger.report
 
-    stop = config.early_stop
-    # executed chunks pending checkpoint: (index, rows, status, attempts,
-    # error), committed as one transaction every ``commit_every`` chunks
-    pending_checkpoints: list[
-        tuple[int, list[tuple[str, int, str]], str, int, str | None]] = []
-    chunks_since_commit = 0
-    start = time.perf_counter()
 
-    def flush_checkpoints() -> None:
-        nonlocal chunks_since_commit
-        chunks_since_commit = 0
-        if db is None or report.campaign_id is None or not pending_checkpoints:
-            pending_checkpoints.clear()
-            return
-        with db.transaction():
-            for index, rows, status, n_attempts, error in pending_checkpoints:
-                db.record_chunk(report.campaign_id, index, rows,
-                                seed=seeds[index], status=status,
-                                attempts=n_attempts, error=error)
-        pending_checkpoints.clear()
+def _execute(ledger: CampaignLedger, resumed: bool) -> None:
+    """Execute the chunks the ledger has not accounted yet.
 
-    # Early-stop bookkeeping.  Filtered points are a *census* of their
-    # stratum (known outcomes, zero variance); only the executed sample
-    # of the kept points is uncertain.  The overall-rate half-width is
-    # therefore the executed-sample Wilson half-width scaled by the kept
-    # stratum's share of the campaign — treating skips as Bernoulli
-    # draws would bias the interval whenever the filtered subpopulation
-    # differs from the kept one.  Running tallies keep the per-chunk
-    # check O(batch), not O(history).
-    n_kept_planned = len(points)
-    executed_hits = 0
-    executed_total = 0
-
-    def converged_now() -> bool:
-        """Is the overall outcome rate pinned down tightly enough?"""
-        return stop_satisfied(stop, report.total, executed_hits,
-                              executed_total, n_kept_planned, planned)
-
-    attempts: dict[int, int] = {}  # chunk index -> failed executions
-
-    def account(batch: list[Injection], index: int,
-                checkpoint: bool = True) -> bool:
-        """Fold one chunk into the report; True = converged, stop."""
-        nonlocal chunks_since_commit, executed_hits, executed_total
-        report.injections.extend(batch)
-        executed_total += len(batch)
-        if stop is not None:
-            executed_hits += sum(1 for inj in batch
-                                 if inj.outcome == stop.outcome)
-        if checkpoint and db is not None and report.campaign_id is not None:
-            pending_checkpoints.append(
-                (index, [inj.row() for inj in batch], "done",
-                 attempts.get(index, 0) + 1, None))
-            chunks_since_commit += 1
-            if chunks_since_commit >= max(1, config.commit_every):
-                flush_checkpoints()
-        if on_chunk is not None:
-            on_chunk(report)
-        return converged_now()
-
-    accounted = 0  # index of the first chunk not yet accounted
-
-    def validate_batch(batch: Any, index: int) -> None:
-        """O(1) shape check on a worker result: a malformed batch (a
-        crashed deserialization, a corrupted return) becomes a chunk
-        failure — retried, then quarantined — not corrupt accounting."""
-        if (not isinstance(batch, list) or len(batch) != len(chunks[index])
-                or (batch and not isinstance(batch[0], Injection))):
-            got = (f"{type(batch).__name__}[{len(batch)}]"
-                   if isinstance(batch, (list, tuple))
-                   else type(batch).__name__)
-            raise _executors.ChunkError(ValueError(
-                f"malformed result for chunk {index}: expected "
-                f"{len(chunks[index])} Injection entries, got {got}"))
-
-    def account_chunk(batch: list[Injection]) -> bool:
-        nonlocal accounted
-        index = accounted
-        validate_batch(batch, index)
-        accounted += 1
-        return account(batch, index)
-
-    def guarded_account(batch: list[Injection]) -> bool:
-        """``account_chunk`` as handed to the executors: errors from the
-        accounting path are tagged :class:`_AccountingError` so the
-        recovery ladder re-raises them raw instead of mistaking them for
-        chunk or pool failures (an ``OSError`` from a checkpoint flush
-        must not burn a chunk's retry budget)."""
+    Resolves the executor over the *remaining* chunks (auto probes
+    picklability and per-batch cost; any chunks it executed while
+    probing are accounted first, exactly once), then drives the
+    recovery ladder: run the chosen strategy; classify anything it
+    raises as a chunk failure (retry in the parent, quarantine when the
+    budget is spent) and/or an executor failure (degrade one rung), and
+    re-enter from the first undelivered chunk — accounting is
+    chunk-ordered, so ``ledger.accounted`` is exactly that index.
+    Accounting-path errors propagate raw.
+    """
+    backend, config, report = ledger.backend, ledger.config, ledger.report
+    chunks, seeds = ledger.plan.chunks, ledger.plan.seeds
+    start = ledger.accounted
+    if start < len(chunks) and not report.converged:
         try:
-            return account_chunk(batch)
-        except _executors.ChunkError:
-            raise  # malformed batch: a chunk failure, retried as usual
-        except Exception as exc:
-            raise _AccountingError(exc) from exc
-
-    # a filter that resolves every point (or enough that the residual
-    # uncertainty cannot exceed the margin) converges with zero execution
-    converged = bool(skipped) and converged_now()
-
-    # Resume replay: walk the contiguous prefix of committed 'done'
-    # chunks through the normal accounting path — same chunk order, same
-    # early-stop arithmetic — without re-executing or re-checkpointing.
-    # The prefix stops at the first missing or quarantined record; later
-    # committed chunks (a crash mid-commit-batch cannot produce any, as
-    # checkpoints commit in chunk order) would re-execute idempotently.
-    if resume is not None and not converged:
-        for i in range(len(chunks)):
-            record = done_records.get(i)
-            if record is None or record.status != "done":
-                break
-            rows = done_rows.get(i, [])
-            if len(rows) != len(chunks[i]):
-                raise ValueError(
-                    f"campaign {resume} checkpointed {len(rows)} rows for "
-                    f"chunk {i} of {len(chunks[i])} points; the database "
-                    "does not match this campaign")
-            batch = [Injection(point=point, location=loc, cycle=cyc,
-                               outcome=out)
-                     for point, (loc, cyc, out) in zip(chunks[i], rows)]
-            accounted += 1
-            report.resumed_chunks += 1
-            attempts[i] = max(0, record.attempts - 1)
-            if account(batch, i, checkpoint=False):
-                converged = True
-                break
-
-    # resolve the executor over the *remaining* chunks (auto probes
-    # picklability and per-batch cost; any chunks it executed while
-    # probing are accounted first, exactly once)
-    if accounted < len(chunks) and not converged:
-        try:
-            plan = plan_executor(backend, chunks[accounted:], config,
-                                 seeds[accounted:])
+            plan = plan_executor(backend, chunks[start:], config,
+                                 seeds[start:])
         except Exception as exc:
             # a probe crash is a chunk failure in disguise: start on the
             # ladder floor and let the retry loop deal with the chunk
@@ -738,102 +876,39 @@ def run_campaign(
     else:
         plan = ExecutorPlan(
             "serial",
-            "pre-converged by filtered outcomes" if converged
-            else ("resumed campaign already complete" if resume is not None
+            "pre-converged by filtered outcomes" if report.converged
+            else ("resumed campaign already complete" if resumed
                   else "empty campaign"))
     if plan.reason:
         log.info("engine: executor=%s for %s:%s (%s)", plan.name,
                  backend.name, backend.circuit_name, plan.reason)
     report.executor = plan.name
-
-    strategy = plan.name
     # The auto-probe's payload pickles the *sliced* (remaining) lists,
     # but process workers index them with absolute chunk indices — only
     # usable when the slice started at chunk 0.  On resume, drop it so
     # run_process re-pickles the full (backend, chunks, seeds) and a
     # resumed campaign executes exactly the chunks (and seeds) it claims.
-    payload = plan.payload if accounted == 0 else None
-    LADDER_FLOOR = "serial"
+    payload = plan.payload if start == 0 else None
 
-    def degrade(next_strategy: str, reason: str) -> None:
-        """Step down the recovery ladder (process → thread → serial).
-
-        The ladder is monotonic, so each degradation logs exactly once.
-        """
-        nonlocal strategy
-        if strategy == next_strategy:
-            return
-        log.warning(
-            "engine: %s executor failing; falling back to %s from chunk "
-            "%d (%s)", strategy, next_strategy, accounted, reason)
-        strategy = next_strategy
-        report.executor = next_strategy
-
-    def retry_or_quarantine(cause: BaseException) -> None:
-        """Chunk ``accounted`` failed: bounded-backoff retries in the
-        parent (immune to pool state), then quarantine."""
-        nonlocal converged, accounted
-        index = accounted
-        attempts[index] = attempts.get(index, 0) + 1
-        budget = config.max_chunk_retries
-        error: BaseException = cause
-        while attempts[index] <= budget:
-            delay = min(RETRY_BACKOFF_CAP_S,
-                        config.retry_backoff_s * 2 ** (attempts[index] - 1))
+    def degrade(strategy: str, reason: str) -> None:
+        """Step down the recovery ladder (process → thread → serial);
+        monotonic, so each degradation logs exactly once."""
+        if report.executor != strategy:
             log.warning(
-                "engine: chunk %d failed (%s: %s); retry %d/%d in the "
-                "parent after %.2fs", index, type(error).__name__, error,
-                attempts[index], budget, delay)
-            if delay > 0:
-                time.sleep(delay)
-            try:
-                backend.prepare()
-                # the retry honours chunk_timeout too: a deterministically
-                # hung chunk must exhaust its budget and quarantine, not
-                # block the campaign forever in the parent
-                batch = _executors.execute_chunk_timed(
-                    backend, chunks[index], seeds[index],
-                    config.chunk_timeout)
-                validate_batch(batch, index)
-            except Exception as exc:
-                error = (exc.cause
-                         if isinstance(exc, _executors.ChunkError) else exc)
-                attempts[index] += 1
-                continue
-            report.retried_chunks += 1
-            converged = account_chunk(batch)
-            return
-        log.error(
-            "engine: quarantining chunk %d (%d points) after %d failed "
-            "execution(s) (%s: %s)", index, len(chunks[index]),
-            attempts[index], type(error).__name__, error)
-        report.quarantined.append(QuarantinedChunk(
-            index=index, n_points=len(chunks[index]),
-            attempts=attempts[index],
-            error=f"{type(error).__name__}: {error}"))
-        accounted += 1
-        if db is not None and report.campaign_id is not None:
-            pending_checkpoints.append(
-                (index, [], "failed", attempts[index],
-                 f"{type(error).__name__}: {error}"))
-            # the campaign just proved unstable: checkpoint immediately
-            flush_checkpoints()
+                "engine: %s executor failing; falling back to %s from "
+                "chunk %d (%s)", report.executor, strategy,
+                ledger.accounted, reason)
+            report.executor = strategy
 
     try:
         for batch in plan.probe_batches or ():
-            if account_chunk(batch):
-                converged = True
+            if ledger.account(batch):
                 break
     except _executors.ChunkError as exc:
-        retry_or_quarantine(exc.cause)
+        ledger.retry_or_quarantine(exc.cause)
 
-    # The ladder driver: run the chosen strategy over the remaining
-    # chunks; classify anything it raises as a chunk failure (retry in
-    # the parent, quarantine when the budget is spent) and/or an
-    # executor failure (degrade one rung), then re-enter from the first
-    # undelivered chunk — accounting is chunk-ordered, so ``accounted``
-    # is exactly that index.  Accounting-path errors propagate raw.
-    while not converged and accounted < len(chunks):
+    while not report.converged and ledger.accounted < len(chunks):
+        strategy = report.executor
         try:
             if strategy == "process":
                 if payload is None:
@@ -845,53 +920,42 @@ def run_campaign(
                             (backend, chunks, seeds),
                             protocol=pickle.HIGHEST_PROTOCOL)
                     except Exception as exc:
-                        degrade("thread",
-                                f"backend not picklable "
+                        degrade("thread", f"backend not picklable "
                                 f"({type(exc).__name__}: {exc})")
                         continue
-                converged = _executors.run_process(
-                    backend, chunks, seeds, guarded_account, config.workers,
-                    start=accounted, payload=payload,
+                _executors.run_process(
+                    backend, chunks, seeds, ledger.guarded_account,
+                    config.workers, start=ledger.accounted, payload=payload,
                     reuse_pool=config.reuse_pool,
                     timeout=config.chunk_timeout)
             elif strategy == "thread":
                 backend.prepare()
-                converged = _executors.run_thread(
-                    backend, chunks, seeds, guarded_account, config.workers,
-                    start=accounted, timeout=config.chunk_timeout)
+                _executors.run_thread(
+                    backend, chunks, seeds, ledger.guarded_account,
+                    config.workers, start=ledger.accounted,
+                    timeout=config.chunk_timeout)
             else:
                 backend.prepare()
-                converged = _executors.run_serial(
-                    backend, chunks, seeds, guarded_account, start=accounted)
+                _executors.run_serial(backend, chunks, seeds,
+                                      ledger.guarded_account,
+                                      start=ledger.accounted)
         except _AccountingError as exc:
             raise exc.cause  # accounting-path errors propagate raw
         except _executors.ChunkTimeout as exc:
             # the hung task may never return; its pool is already
             # abandoned (persistent pools: evicted), so step down a rung
             # and retry the chunk in the parent
-            degrade("thread" if strategy == "process" else LADDER_FLOOR,
-                    f"chunk {accounted} timed out after "
+            degrade("thread" if strategy == "process" else "serial",
+                    f"chunk {ledger.accounted} timed out after "
                     f"{config.chunk_timeout}s")
-            retry_or_quarantine(exc)
+            ledger.retry_or_quarantine(exc)
         except (BrokenProcessPool, OSError) as exc:
             if strategy == "process":
                 degrade("thread", f"process pool failed "
                         f"({type(exc).__name__}: {exc})")
-            retry_or_quarantine(exc)
+            ledger.retry_or_quarantine(exc)
         except _executors.ChunkError as exc:
-            retry_or_quarantine(exc.cause)
-    report.converged = converged
-
-    flush_checkpoints()
-    finished = getattr(backend, "campaign_finished", None)
-    if finished is not None:
-        # Optional protocol hook, called only on clean completion: a
-        # backend may release campaign-scoped scratch here (e.g.
-        # ChaosBackend unlinks its cross-process attempt markers).  An
-        # aborted campaign keeps the scratch — a resume may need it.
-        finished()
-    report.elapsed_s = time.perf_counter() - start
-    return report
+            ledger.retry_or_quarantine(exc.cause)
 
 
 def resume_campaign(

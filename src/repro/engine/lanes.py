@@ -156,9 +156,8 @@ class LaneContext:
     rep_trace: list[dict[str, int]]
     states: list[dict[str, int]]
     final_state: dict[str, int]
-    #: ``"int"`` (packed big int — any width), ``"ndarray"`` (numpy
-    #: uint64 blocks per net through the same compiled step function)
-    #: or ``"soa"`` (the level-batched structure-of-arrays kernel).
+    #: ``"int"`` (packed big int — any width) or ``"soa"`` (the
+    #: level-batched structure-of-arrays kernel).
     backing: str = "int"
     n_blocks: int = 1
 
@@ -186,33 +185,6 @@ class LaneContext:
                       for q in program.flop_qs)
         self._raw = (program, stim, trace, states, final)
         return stim, trace, states, final
-
-    def raw_views_nd(self, program) -> tuple:
-        """Block-array raw views for the ndarray backing.
-
-        Every replicated word is either all-zero or all-lanes, so the
-        views share two arrays (``zero`` and the lane mask) across all
-        nets and cycles — the generated step function never mutates its
-        inputs, and `propagate` replaces (not updates) flipped slots.
-        """
-        cached = getattr(self, "_raw_nd", None)
-        if cached is not None and cached[0] is program:
-            return cached[1:]
-        zero = _vector.zeros(self.n_blocks)
-        ones = _vector.mask_array(self.width, self.n_blocks)
-
-        def conv(packed: int):
-            return ones if packed else zero
-
-        stim = [tuple(conv(cyc.get(pi, 0)) for pi in program.inputs)
-                for cyc in self.rep_stimuli]
-        trace = [tuple(conv(cyc[po]) for po in program.outputs)
-                 for cyc in self.rep_trace]
-        states = [tuple(conv(st[q]) for q in program.flop_qs)
-                  for st in self.states]
-        final = tuple(conv(self.final_state[q]) for q in program.flop_qs)
-        self._raw_nd = (program, stim, trace, states, final, ones)
-        return stim, trace, states, final, ones
 
     def raw_views_soa(self, program) -> tuple:
         """Matrix raw views for the SoA backing.
@@ -265,17 +237,15 @@ def build_context(
     beyond 64 (``None`` auto-picks per :func:`repro.sim.vector
     .resolve_backing`, fed the step program's mean gates-per-level so
     narrow circuits — where the SoA kernel cannot amortize per-level
-    dispatch — stay on packed ints); the ndarray and SoA backings
-    additionally need compiled programs, so they fall back to packed
-    ints when compilation is globally disabled (identical outcomes
-    either way).
+    dispatch — stay on packed ints); the SoA backing additionally
+    needs compiled programs, so it falls back to packed ints when
+    compilation is globally disabled (identical outcomes either way).
     """
     mask = mask_of(width)
     resolved_backing = _vector.resolve_backing(
         width, backing, level_width=_level_width_hint(circuit, width,
                                                       backing))
-    if resolved_backing in ("ndarray", "soa") \
-            and not _compiled.compilation_enabled():
+    if resolved_backing == "soa" and not _compiled.compilation_enabled():
         resolved_backing = "int"  # interpreter path carries big ints
     if resolved_backing == "soa":
         program = _compiled.soa_step_program(circuit, width)
@@ -334,7 +304,7 @@ def _level_width_hint(circuit: Circuit, width: int,
         return None
     if not _vector.HAVE_NUMPY or not _compiled.compilation_enabled():
         return None
-    if width < _vector.SOA_MIN_LANES or width >= _vector.NDARRAY_MIN_LANES:
+    if not _vector.SOA_MIN_LANES <= width < _vector.SOA_ANY_WIDTH_LANES:
         return None  # the hint cannot change the outcome there
     program = _compiled.soa_step_program(circuit, width)
     if program is None:
@@ -364,8 +334,6 @@ def propagate(ctx: LaneContext, flips: Mapping[int, Mapping[str, int]],
         if soa is not None:
             return _propagate_soa(ctx, soa, flips, start, lanes)
     program = _compiled.step_program(ctx.circuit)
-    if program is not None and ctx.backing == "ndarray":
-        return _propagate_ndarray(ctx, program, flips, start, lanes)
     if program is not None:
         # compiled fast path: drive the generated step function on raw
         # slot tuples — flips XOR into state slots by index, outputs
@@ -407,43 +375,6 @@ def propagate(ctx: LaneContext, flips: Mapping[int, Mapping[str, int]],
         diff |= sim.state[q] ^ (mask if bit else 0)
     fail &= lanes
     return fail, diff & lanes & ~fail
-
-
-def _propagate_ndarray(ctx: LaneContext, program, flips, start: int,
-                       lanes: int) -> tuple[int, int]:
-    """The ndarray-backed packed propagation.
-
-    Same loop as the compiled int path, but every slot is a uint64
-    block array: the generated step function broadcasts over blocks,
-    per-lane flips become block arrays XORed into fresh state slots
-    (never in place — golden slots are shared), and fail/latent words
-    accumulate elementwise before one conversion back to ints for the
-    caller's per-lane bit extraction.
-    """
-    mask = ctx.mask
-    blocks = ctx.n_blocks
-    stim, trace, states, final, ones = ctx.raw_views_nd(program)
-    q_index = program.q_index
-    fn = program.program.fn
-    state = states[start]
-    fail = _vector.zeros(blocks)
-    for cyc in range(start, ctx.n_cycles):
-        cyc_flips = flips.get(cyc)
-        if cyc_flips:
-            slots = list(state)
-            for q, lane_mask in cyc_flips.items():
-                flip = _vector.to_blocks(lane_mask & mask, blocks)
-                slots[q_index[q]] = slots[q_index[q]] ^ flip
-            state = tuple(slots)
-        out, state = fn(stim[cyc], state, ones)
-        for val, golden in zip(out, trace[cyc]):
-            fail |= val ^ golden
-    diff = _vector.zeros(blocks)
-    for val, golden in zip(state, final):
-        diff |= val ^ golden
-    fail_int = _vector.from_blocks(fail) & lanes
-    latent_int = _vector.from_blocks(diff) & lanes & ~fail_int
-    return fail_int, latent_int
 
 
 def _propagate_soa(ctx: LaneContext, program, flips, start: int,

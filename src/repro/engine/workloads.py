@@ -368,8 +368,8 @@ class SlicingBackend:
 
     ``lane_width`` > 1 packs the multi-cycle propagation of surviving
     state perturbations into bit lanes; widths above 64 ride the vector
-    tier (``lane_backing`` picks ``"int"``, ``"soa"`` or ``"ndarray"``,
-    auto-resolved when ``None`` — see :mod:`repro.sim.vector`).
+    tier (``lane_backing`` picks ``"int"`` or ``"soa"``, auto-resolved
+    when ``None`` — see :mod:`repro.sim.vector`).
     """
 
     name = "slicing"

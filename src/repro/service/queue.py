@@ -18,12 +18,15 @@ Job state machine::
     pending/running ──cancel──▶ cancelled
 
 The final report is **assembled by replay**: :meth:`CampaignQueue
-.result` calls ``run_campaign(resume=campaign_id)``, which walks the
-committed chunk prefix through the engine's normal accounting path.
-That is what makes an N-worker service run byte-identical to a serial
-one — the service only decides *who executes which chunk when*; what a
-chunk produces and how results are folded into the report never left
-the engine.
+.result` builds a :class:`~repro.engine.core.CampaignLedger` over the
+campaign's committed ``done`` and ``failed`` chunk records and walks
+them in chunk order through the engine's accounting path, executing
+nothing.  The completion check (:meth:`CampaignQueue.maybe_finish`)
+is the same walk.  That is what makes an N-worker service run
+byte-identical to a serial one — quarantined chunks and the early-stop
+chunk included — the service only decides *who executes which chunk
+when*; what a chunk produces and how results are folded into the
+report never left the engine.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from pathlib import Path
 from typing import Any, Callable
 
 from ..core.campaign import CampaignDb
-from ..engine.core import (CampaignPlan, CampaignReport, EngineConfig,
-                           plan_campaign, run_campaign, stop_satisfied)
+from ..engine.core import (CampaignLedger, CampaignReport, EngineConfig,
+                           plan_campaign)
 from .leases import LeaseManager
 
 JOB_STATES = ("pending", "running", "done", "failed", "cancelled")
@@ -175,13 +178,16 @@ class CampaignQueue:
 
     def result(self, job_id: int, backend: Any = None,
                config: EngineConfig | None = None) -> CampaignReport:
-        """Assemble the finished job's report by engine replay.
+        """Assemble the finished job's report by replay alone.
 
-        ``run_campaign(resume=...)`` folds the committed chunk prefix
-        through the exact accounting path a serial run uses, so the
-        report is byte-identical to one.  A fresh backend is unpickled
-        from the payload unless the caller supplies its own (it must be
-        plan-identical; the stored fingerprint enforces that).
+        A :class:`CampaignLedger` walks the committed ``done`` and
+        ``failed`` chunk records through the exact accounting path a
+        serial run uses — a ``failed`` record is a quarantined chunk,
+        and the walk stops where the serial run's early stop does — so
+        the report is byte-identical to a serial one, and no chunk is
+        executed.  A fresh backend is unpickled from the payload unless
+        the caller supplies its own (it must be plan-identical; the
+        stored fingerprint enforces that).
         """
         job = self.poll(job_id)
         if job.state != "done":
@@ -191,8 +197,19 @@ class CampaignQueue:
             stored_backend, stored_config = self.load(job_id)
             backend = backend if backend is not None else stored_backend
             config = config if config is not None else stored_config
-        return run_campaign(backend, config, db=self.db,
-                            resume=job.campaign_id)
+        ledger = CampaignLedger(backend, config,
+                                plan_campaign(backend, config), self.db)
+        ledger.open(job.campaign_id)
+        ledger.replay()
+        report = ledger.report
+        if (not report.converged
+                and ledger.accounted < len(ledger.plan.chunks)):
+            raise RuntimeError(
+                f"job {job_id} is done but its campaign has no record "
+                f"for chunk {ledger.accounted}")
+        report.executor = "service"
+        ledger.close()
+        return report
 
     # -- worker side ---------------------------------------------------
     def next_job(self) -> int | None:
@@ -210,20 +227,20 @@ class CampaignQueue:
             raise KeyError(f"no job {job_id}")
         return str(row[0])
 
-    def activate(self, job_id: int, plan: CampaignPlan,
-                 config: EngineConfig) -> int | None:
+    def activate(self, job_id: int, ledger: CampaignLedger) -> int | None:
         """Ensure the job has a campaign; returns its id (None if the
-        job went terminal).
+        job went terminal) and attaches ``ledger`` to it.
 
         Exactly one worker wins the conditional UPDATE and creates —
-        atomically, in one transaction — the campaign row (params and
-        census rows shaped exactly as ``run_campaign`` writes them, so
-        the replay assembler accepts it), plus one pending lease per
-        chunk.  Losers simply read the winner's committed campaign id;
-        a winner that dies mid-transaction rolls back to ``pending``
-        and the next worker retries the claim.
+        atomically, in one transaction — the campaign row with its
+        census rows (:meth:`CampaignLedger.create`, as ``run_campaign``
+        writes them) plus one pending lease per chunk.  Losers attach to
+        the winner's committed campaign id; a winner that dies
+        mid-transaction rolls back to ``pending`` and the next worker
+        retries the claim.
         """
         conn = self.db.conn
+        plan = ledger.plan
         while True:
             row = conn.execute(
                 "SELECT state, campaign_id FROM service_jobs WHERE id=?",
@@ -234,6 +251,7 @@ class CampaignQueue:
             if state in JOB_TERMINAL:
                 return None
             if campaign_id is not None:
+                ledger.open(int(campaign_id))
                 return int(campaign_id)
             won: int | None = None
             with self.db.transaction():
@@ -243,28 +261,7 @@ class CampaignQueue:
                     " WHERE id=? AND state='pending' AND campaign_id IS NULL",
                     (self.now(), plan.fingerprint, len(plan.chunks), job_id))
                 if cur.rowcount:
-                    backend, _ = self.load(job_id)
-                    won = self.db.create_campaign(
-                        name=f"{backend.name}:{backend.circuit_name}",
-                        circuit=backend.circuit_name,
-                        fault_model=backend.fault_model,
-                        workload=backend.workload,
-                        params={
-                            "batch_size": config.batch_size,
-                            "chunk_size": plan.batch_size,
-                            "workers": config.workers,
-                            "executor": "service",
-                            "lane_width": plan.lane_width,
-                            "sample": config.sample,
-                            "seed": config.seed,
-                            "filtered": len(plan.skipped),
-                            "early_stop": (config.early_stop.outcome
-                                           if config.early_stop else None),
-                            "fingerprint": plan.fingerprint,
-                        })
-                    if plan.skipped:
-                        self.db.record_many(
-                            won, [inj.row() for inj in plan.skipped])
+                    won = ledger.create("service")
                     self.leases.create(won, len(plan.chunks))
                     conn.execute(
                         "UPDATE service_jobs SET campaign_id=? WHERE id=?",
@@ -284,24 +281,23 @@ class CampaignQueue:
         self.db._maybe_commit()
         return bool(cur.rowcount)
 
-    def maybe_finish(self, job_id: int, campaign_id: int, plan: CampaignPlan,
-                     config: EngineConfig) -> bool:
+    def maybe_finish(self, job_id: int, ledger: CampaignLedger) -> bool:
         """Finish the job if its campaign is complete; True when done.
 
-        Complete means either every chunk has a terminal record
-        (done/quarantined), or — with early stop — the engine's own
-        convergence arithmetic, replayed over the *contiguous prefix*
-        of committed 'done' chunks in index order, is satisfied at some
-        chunk ``k``.  Walking the prefix in order is what pins the
-        distributed run to the same stopping chunk as a serial one:
-        chunks recorded past ``k`` by other workers are speculative and
-        the replay assembler ignores them, exactly as the engine
-        discards speculative in-flight chunks on early stop.
+        Complete means every chunk has a terminal record (done or
+        quarantined), or — with early stop — a fresh ledger replaying
+        the committed records in chunk order converges at some chunk
+        ``k`` (a quarantined chunk is passed, as a serial run passes
+        it).  Walking in order is what pins the distributed run to the
+        same stopping chunk as a serial one: chunks recorded past ``k``
+        by other workers are speculative and the report's replay
+        ignores them, exactly as the engine discards speculative
+        in-flight chunks on early stop.
         """
-        stop = config.early_stop
-        n_chunks = len(plan.chunks)
+        campaign_id = ledger.report.campaign_id
+        n_chunks = len(ledger.plan.chunks)
         converged_chunk: int | None = None
-        if stop is None:
+        if ledger.config.early_stop is None:
             # no early stop: completion is a row count, checked O(1)
             # after every chunk instead of materializing all records
             (n_recorded,) = self.db.conn.execute(
@@ -310,28 +306,14 @@ class CampaignQueue:
             if n_recorded < n_chunks:
                 return False
         else:
-            records = self.db.chunk_records(campaign_id)
-            rows_by_chunk = self.db.chunk_rows(campaign_id)
-            n_skipped = len(plan.skipped)
-            # pre-converged by the filter census, before any execution
-            if plan.skipped and stop_satisfied(stop, n_skipped, 0, 0,
-                                               plan.n_kept, plan.planned):
-                converged_chunk = -1
-            else:
-                executed = hits = 0
-                for i in range(n_chunks):
-                    record = records.get(i)
-                    if record is None or record.status != "done":
-                        break
-                    chunk_rows = rows_by_chunk.get(i, [])
-                    executed += len(chunk_rows)
-                    hits += sum(1 for _, _, outcome in chunk_rows
-                                if outcome == stop.outcome)
-                    if stop_satisfied(stop, n_skipped + executed, hits,
-                                      executed, plan.n_kept, plan.planned):
-                        converged_chunk = i
-                        break
-            if converged_chunk is None and len(records) < n_chunks:
+            walk = CampaignLedger(ledger.backend, ledger.config,
+                                  ledger.plan, self.db)
+            walk.open(campaign_id)
+            walk.replay()
+            if walk.report.converged:
+                # -1: pre-converged by the filter census, before any chunk
+                converged_chunk = walk.accounted - 1
+            elif walk.accounted < n_chunks:
                 return False
         with self.db.transaction():
             cur = self.db.conn.execute(

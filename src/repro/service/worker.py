@@ -24,10 +24,14 @@ finish the chunk in flight, release any held leases, retire the worker
 row, exit.
 
 Failure accounting: a chunk that fails execution releases its lease
-(claimable by anyone, attempt count retained) until the attempt budget
-``config.max_chunk_retries + 1`` is spent *across all workers*, at
-which point it is quarantined — a terminal 'failed' chunk record, the
-same first-class stratum PR 7's in-process retry loop feeds.
+(claimable by anyone, attempt count retained) until the retry budget
+``config.max_chunk_retries`` is spent *across all workers*, at which
+point it is quarantined — a terminal 'failed' chunk record, the same
+first-class stratum the in-process retry loop feeds.  The worker keeps
+no books of its own: the result shape check, the chunk records, the
+retry budget and backoff, and the quarantine record all belong to the
+job's :class:`~repro.engine.core.CampaignLedger`, the object
+``run_campaign`` accounts through.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ from typing import Any
 
 from ..core.campaign import CampaignDb
 from ..engine import executors as _executors
-from ..engine.core import (RETRY_BACKOFF_CAP_S, CampaignPlan, EngineConfig,
-                           Injection)
+from ..engine.core import CampaignLedger, CampaignPlan, EngineConfig, \
+    Injection
 from .leases import LeaseManager, Lease
 from .queue import CampaignQueue
 
@@ -163,11 +167,12 @@ class CampaignWorker:
             queue.fail_job(job_id,  # don't let it wedge the queue
                            f"{type(exc).__name__}: {exc}")
             return
-        campaign_id = queue.activate(job_id, plan, config)
+        ledger = CampaignLedger(backend, config, plan, queue.db)
+        campaign_id = queue.activate(job_id, ledger)
         if campaign_id is None:
             return  # went terminal while we were planning
         backend.prepare()
-        if queue.maybe_finish(job_id, campaign_id, plan, config):
+        if queue.maybe_finish(job_id, ledger):
             return  # pre-converged by the filter census, or already done
         # Chaos-scripted workers claim one chunk at a time so fault
         # ordinals ("sigkill after the 2nd claim") stay exact; clean
@@ -187,7 +192,7 @@ class CampaignWorker:
                         break
                     claimed.append(lease)
             if not claimed:
-                if queue.maybe_finish(job_id, campaign_id, plan, config):
+                if queue.maybe_finish(job_id, ledger):
                     return
                 # nothing claimable right now: peers hold live leases
                 time.sleep(self.poll_s)
@@ -196,8 +201,7 @@ class CampaignWorker:
             for lease in claimed:
                 if self.chaos is not None:
                     self.chaos.on_chunk_claimed()  # a due sigkill fires
-                batch = self._execute_one(queue.db, leases, campaign_id,
-                                          plan, backend, config, lease)
+                batch = self._execute_one(leases, ledger, lease)
                 if batch is not None:
                     done.append((lease, batch))
                 if self._draining.is_set():
@@ -209,63 +213,52 @@ class CampaignWorker:
                 # still convergent, the claim predicate skips them)
                 with queue.db.transaction():
                     for lease, batch in done:
-                        queue.db.record_chunk(
-                            campaign_id, lease.chunk_index,
-                            [inj.row() for inj in batch],
-                            seed=plan.seeds[lease.chunk_index],
-                            status="done", attempts=lease.attempts)
+                        ledger.record(lease.chunk_index,
+                                      [inj.row() for inj in batch],
+                                      lease.attempts)
                         leases.complete(campaign_id, lease.chunk_index,
                                         self.worker_id)
                     leases.bump_worker(self.worker_id, done=len(done))
                 self.chunks_executed += len(done)
-            if queue.maybe_finish(job_id, campaign_id, plan, config):
+            if queue.maybe_finish(job_id, ledger):
                 return
 
-    def _execute_one(self, db: CampaignDb, leases: LeaseManager,
-                     campaign_id: int, plan: CampaignPlan, backend: Any,
-                     config: EngineConfig,
+    def _execute_one(self, leases: LeaseManager, ledger: CampaignLedger,
                      lease: Lease) -> list[Injection] | None:
         """Execute one leased chunk; return its batch, or None after
         routing a failure through release/quarantine."""
         index = lease.chunk_index
-        chunk, seed = plan.chunks[index], plan.seeds[index]
         try:
             batch = _executors.execute_chunk_timed(
-                backend, chunk, seed, config.chunk_timeout)
-            if (not isinstance(batch, list) or len(batch) != len(chunk)
-                    or (batch and not isinstance(batch[0], Injection))):
-                raise _executors.ChunkError(ValueError(
-                    f"malformed result for chunk {index}: expected "
-                    f"{len(chunk)} Injection entries"))
+                ledger.backend, ledger.plan.chunks[index],
+                ledger.plan.seeds[index], ledger.config.chunk_timeout)
+            ledger.validate(batch, index)
         except Exception as exc:
             cause = exc.cause if isinstance(exc, _executors.ChunkError) \
                 else exc
-            self._chunk_failed(db, leases, campaign_id, config, lease,
-                               f"{type(cause).__name__}: {cause}", seed)
+            self._chunk_failed(leases, ledger, lease,
+                               f"{type(cause).__name__}: {cause}")
             return None
         if self.chaos is not None:
             self.chaos.stall_before_record()  # scripted stale-worker gap
         return batch
 
-    def _chunk_failed(self, db: CampaignDb, leases: LeaseManager,
-                      campaign_id: int, config: EngineConfig, lease: Lease,
-                      error: str, seed: int) -> None:
-        """Release for retry, or quarantine once the cross-worker
-        attempt budget (original + ``max_chunk_retries``) is spent."""
+    def _chunk_failed(self, leases: LeaseManager, ledger: CampaignLedger,
+                      lease: Lease, error: str) -> None:
+        """Release for retry, or quarantine once the cross-worker retry
+        budget is spent (``lease.attempts`` counts failed executions:
+        every earlier attempt of a reclaimed lease failed or expired)."""
         leases.bump_worker(self.worker_id, failures=1)
-        budget = max(0, config.max_chunk_retries) + 1
-        if lease.attempts >= budget:
-            with db.transaction():
-                db.record_chunk(campaign_id, lease.chunk_index, [],
-                                seed=seed, status="failed",
-                                attempts=lease.attempts, error=error)
+        campaign_id = ledger.report.campaign_id
+        if ledger.exhausted(lease.attempts):
+            with ledger.db.transaction():
+                ledger.record(lease.chunk_index, [], lease.attempts, error)
                 leases.fail(campaign_id, lease.chunk_index,
                             self.worker_id, error)
             return
         leases.release(campaign_id, lease.chunk_index, self.worker_id,
                        error)
-        backoff = min(RETRY_BACKOFF_CAP_S,
-                      config.retry_backoff_s * (2 ** (lease.attempts - 1)))
+        backoff = ledger.retry_delay(lease.attempts)
         if backoff > 0:
             time.sleep(backoff)
 

@@ -56,9 +56,9 @@ lanes *per block* per op.  :class:`VectorCircuitProgram` /
 :class:`VectorStepProgram` / :class:`VectorConeProgram` /
 :class:`VectorDetProgram` wrap the scalar programs with an ``n_lanes``
 parameter, converting packed ints to block arrays at the boundary (see
-:mod:`repro.sim.vector` for the backing model and the int/ndarray
-crossover).  The scalar and vector variants share one compiled code
-object per source.
+:mod:`repro.sim.vector` for the block model).  The scalar and vector
+variants share one compiled code object per source.  The campaign
+engine's lanes run on the int and SoA backings, not on these.
 
 **SoA tier**: the per-net representations above pay one interpreter or
 numpy dispatch *per gate*; :class:`SoaCircuitProgram` /

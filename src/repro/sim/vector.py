@@ -1,7 +1,7 @@
 """Vector backing for packed simulation words wider than 64 lanes.
 
 Every simulator in this toolkit packs parallel lanes (patterns, fault
-instances) into the bits of one word per net.  Three backings implement
+instances) into the bits of one word per net.  Two backings implement
 that word:
 
 * ``"int"`` — an arbitrary-precision Python int.  This is the classic
@@ -10,15 +10,6 @@ that word:
   thousand bits (one AND on this class of host: ~0.08µs at 1024 bits,
   ~0.13µs at 4096 bits, and the compiled step loop lands at
   ~0.13-0.14µs/gate at 1024 lanes including interpreter overhead).
-* ``"ndarray"`` — one numpy ``uint64`` array of ``n_blocks =
-  ceil(lanes / 64)`` blocks *per net*, least-significant block first,
-  fed through the same compiled per-net expressions.  **Negative
-  result, kept for the record**: per-op numpy dispatch is ~0.5-1.5µs on
-  a tiny per-net array versus ~0.1µs for the big-int op it replaces, so
-  this backing only overtakes ints once words grow to tens of
-  thousands of lanes (measured ~32k on this host class —
-  :data:`NDARRAY_MIN_LANES`).  At 1024 lanes it measures ~0.3x the int
-  backing.
 * ``"soa"`` — a structure-of-arrays compiled kernel
   (:class:`repro.sim.compiled.SoaStepProgram` and friends): the whole
   net state lives in one 2-D ``(2 * n_slots, n_blocks)`` uint64 matrix
@@ -26,7 +17,7 @@ that word:
   topological level executes as ~4 fused numpy calls (two row-gathers,
   one ``bitwise_and``, one ``bitwise_xor``, one ``invert`` into the
   mirror) covering *every* gate in the level.  Dispatch amortizes over
-  the level width, so the crossover drops from ~32k lanes to ~1k
+  the level width, so it overtakes ints from ~1k lanes
   (:data:`SOA_MIN_LANES`) on circuits with wide levels.
 
 Measured per-op cost model for the SoA kernel (1-CPU host, numpy 2.x,
@@ -43,21 +34,22 @@ instead of XOR-ing polarity masks.
 Because the win comes from level width, the auto backing uses both the
 lane count and (when the caller can provide it) the program's mean
 gates-per-level: narrow circuits (< :data:`SOA_MIN_LEVEL_WIDTH` gates
-per level) keep the int backing until :data:`NDARRAY_MIN_LANES` lanes.
+per level) keep the int backing until :data:`SOA_ANY_WIDTH_LANES`
+lanes.
 
 Override precedence, strongest first:
 
 1. an explicit ``backing=`` argument;
-2. ``RESCUE_VECTOR_BACKING=int|ndarray|soa`` (global force);
+2. ``RESCUE_VECTOR_BACKING=int|soa`` (global force);
 3. host calibration via :func:`calibrate_crossover` (opt-in:
    ``RESCUE_CALIBRATE_CROSSOVER=1`` or an explicit call) — overrides
-   the crossover *defaults* but never an explicit
-   ``RESCUE_SOA_MIN_LANES`` / ``RESCUE_NDARRAY_MIN_LANES``;
-4. ``RESCUE_SOA_MIN_LANES`` / ``RESCUE_NDARRAY_MIN_LANES`` env values;
+   the :data:`SOA_MIN_LANES` default but never an explicit
+   ``RESCUE_SOA_MIN_LANES``;
+4. the ``RESCUE_SOA_MIN_LANES`` env value;
 5. the built-in measured defaults.
 
 When numpy is missing entirely the vector tier is unavailable: the
-``soa``/``ndarray`` backings degrade to ``int`` and lane widths above
+``soa`` backing degrades to ``int`` and lane widths above
 64 degrade to the classic 64-lane packing (one-time logged warning) —
 see :func:`repro.engine.lanes.resolve_lane_width`.
 """
@@ -77,24 +69,16 @@ np = _np
 
 log = logging.getLogger(__name__)
 
-#: Bits per ndarray block (numpy uint64).
+#: Bits per block (numpy uint64).
 BLOCK_BITS = 64
 
-#: Env override for the backing choice: ``int``, ``ndarray``, ``soa``
-#: or unset/auto.
+#: Env override for the backing choice: ``int``, ``soa`` or unset/auto.
 ENV_BACKING = "RESCUE_VECTOR_BACKING"
 
 #: Opt-in host calibration: when set truthy, the first auto backing
 #: resolution runs :func:`calibrate_crossover` once and uses the
 #: measured crossover instead of the defaults below.
 ENV_CALIBRATE = "RESCUE_CALIBRATE_CROSSOVER"
-
-#: Per-net ndarray crossover: below this lane count the int backing
-#: wins (big-int ops are near width-insensitive), above it even the
-#: per-net dispatch-heavy ndarray backing's flat per-block cost takes
-#: over.  Measured on this class of host; override with
-#: ``RESCUE_NDARRAY_MIN_LANES``.
-NDARRAY_MIN_LANES = int(os.environ.get("RESCUE_NDARRAY_MIN_LANES", 32768))
 
 #: SoA crossover: from this lane count the level-batched SoA kernel
 #: beats the int backing *on circuits with wide levels* (measured >= 2x
@@ -107,11 +91,16 @@ SOA_MIN_LANES = int(os.environ.get("RESCUE_SOA_MIN_LANES", 1024))
 #: (measured: ~13 gates/level runs at 0.3x int, ~31 at ~1.0x, ~50 at
 #: ~1.4x, ~85 at >= 2x).  Callers that know their program's level
 #: width pass it to :func:`resolve_backing`; narrow circuits stay on
-#: ints until :data:`NDARRAY_MIN_LANES`.
+#: ints until :data:`SOA_ANY_WIDTH_LANES`.
 SOA_MIN_LEVEL_WIDTH = 32
 
+#: From this lane count the SoA kernel beats the int backing whatever
+#: the circuit's level width: its flat per-block cost outgrows the
+#: per-gate dispatch.
+SOA_ANY_WIDTH_LANES = 32768
+
 #: All known backings, for validation.
-BACKINGS = ("int", "ndarray", "soa")
+BACKINGS = ("int", "soa")
 
 _warned_no_numpy = False
 
@@ -138,20 +127,19 @@ def resolve_backing(n_lanes: int, backing: str | None = None,
     SoA kernel tier takes over when the caller's ``level_width`` hint
     (mean gates per topological level of the program that will run)
     is absent or at least :data:`SOA_MIN_LEVEL_WIDTH`.  Narrow
-    circuits keep the int backing until :data:`NDARRAY_MIN_LANES`,
-    past which SoA wins regardless of level width (it strictly
-    dominates the per-net ndarray backing that used to take over
-    there).  The :data:`ENV_BACKING` env var overrides auto (but not
-    an explicit argument); see the module docstring for the full
-    precedence.  A forced ``"ndarray"``/``"soa"`` without numpy
-    degrades to ``"int"`` with a one-time logged warning — same
-    packed-int semantics, so results are unchanged.
+    circuits keep the int backing until :data:`SOA_ANY_WIDTH_LANES`,
+    past which SoA wins regardless of level width.  The
+    :data:`ENV_BACKING` env var overrides auto (but not an explicit
+    argument); see the module docstring for the full precedence.  A
+    forced ``"soa"`` without numpy degrades to ``"int"`` with a
+    one-time logged warning — same packed-int semantics, so results
+    are unchanged.
     """
     if backing is None:
         backing = os.environ.get(ENV_BACKING) or None
     if backing is None:
         _maybe_calibrate()
-        if n_lanes >= NDARRAY_MIN_LANES:
+        if n_lanes >= SOA_ANY_WIDTH_LANES:
             backing = "soa"
         elif n_lanes >= SOA_MIN_LANES and (
                 level_width is None or level_width >= SOA_MIN_LEVEL_WIDTH):
@@ -160,7 +148,7 @@ def resolve_backing(n_lanes: int, backing: str | None = None,
             backing = "int"
     if backing not in BACKINGS:
         raise ValueError(f"unknown vector backing {backing!r}")
-    if backing in ("ndarray", "soa") and not HAVE_NUMPY:
+    if backing == "soa" and not HAVE_NUMPY:
         _warn_no_numpy(f"{backing} backing requested")
         backing = "int"
     return backing
@@ -214,7 +202,7 @@ def mask_array(n_lanes: int, n_blocks: int | None = None):
 
 
 def to_block_dict(values, n_blocks: int) -> dict:
-    """Convert a ``net -> packed int`` mapping to ndarray backing."""
+    """Convert a ``net -> packed int`` mapping to block arrays."""
     return {net: to_blocks(val, n_blocks) for net, val in values.items()}
 
 
@@ -241,13 +229,12 @@ def calibrate_crossover(level_width: int = 48,
     big-int bitwise op plus bytecode overhead; the SoA kernel costs
     its share of two row-gathers, one flat binary op and one mirror
     invert.  The smallest candidate lane count where the SoA side wins
-    replaces :data:`SOA_MIN_LANES` (and, capped, the per-net
-    :data:`NDARRAY_MIN_LANES` guess) — unless those were pinned via
-    their env vars, which always win over calibration.  The result is
+    replaces :data:`SOA_MIN_LANES` — unless ``RESCUE_SOA_MIN_LANES``
+    pinned it, which always wins over calibration.  The result is
     cached for the process; repeated calls are free.  Opt in with
     ``RESCUE_CALIBRATE_CROSSOVER=1`` or call explicitly.
     """
-    global _calibrated, SOA_MIN_LANES, NDARRAY_MIN_LANES
+    global _calibrated, SOA_MIN_LANES
     if _calibrated is not None:
         return _calibrated
     if not HAVE_NUMPY:
@@ -301,10 +288,6 @@ def calibrate_crossover(level_width: int = 48,
     _calibrated = crossover
     if "RESCUE_SOA_MIN_LANES" not in os.environ:
         SOA_MIN_LANES = crossover
-    if "RESCUE_NDARRAY_MIN_LANES" not in os.environ:
-        # the per-net backing needs far more width to amortize its
-        # per-gate dispatch; keep it at least the historical guess
-        NDARRAY_MIN_LANES = max(crossover, 32768)
     log.info("vector crossover calibrated: SoA wins from %d lanes "
              "(level width %d)", crossover, level_width)
     return crossover

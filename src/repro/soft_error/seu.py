@@ -127,7 +127,7 @@ def run_campaign(
     lane packing (injections simulated per packed sequential run;
     default 64, ``1`` forces the per-point reference path, widths above
     64 ride the vector tier — packed big ints or, via
-    ``lane_backing="ndarray"``, numpy block arrays) — outcomes are
+    ``lane_backing="soa"``, the numpy SoA kernel) — outcomes are
     byte-identical at every width and backing.  ``resume`` restarts a
     checkpointed campaign (requires the ``db`` it was recorded in) from
     its last committed chunk, byte-identical to an uninterrupted run.

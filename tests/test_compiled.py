@@ -435,16 +435,17 @@ class TestVectorPrograms:
     def test_backing_resolution(self, monkeypatch):
         assert vector.resolve_backing(64) == "int"
         assert vector.resolve_backing(1000) == "int"  # below crossover
-        assert vector.resolve_backing(1000, "ndarray") == "ndarray"
-        monkeypatch.setattr(vector, "NDARRAY_MIN_LANES", 512)
-        # past the old per-net crossover the SoA kernel tier takes over
-        # (it strictly dominates the per-net ndarray backing there); the
-        # per-net backing is still reachable explicitly or via the env.
+        assert vector.resolve_backing(1000, "soa") == "soa"
+        monkeypatch.setattr(vector, "SOA_ANY_WIDTH_LANES", 512)
+        # past the any-width crossover the SoA kernel tier takes over;
+        # ints stay reachable explicitly or via the env
         assert vector.resolve_backing(1000) == "soa"
-        monkeypatch.setenv(vector.ENV_BACKING, "ndarray")
-        assert vector.resolve_backing(65) == "ndarray"
+        monkeypatch.setenv(vector.ENV_BACKING, "int")
+        assert vector.resolve_backing(1000) == "int"
         with pytest.raises(ValueError, match="backing"):
             vector.resolve_backing(65, "bogus")
+        with pytest.raises(ValueError, match="backing"):
+            vector.resolve_backing(65, "ndarray")  # removed backing
 
     def test_block_conversions_roundtrip(self):
         for width in VECTOR_WIDTHS:

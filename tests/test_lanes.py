@@ -4,7 +4,7 @@ the persistent worker pool, and the round-batching facades.
 The load-bearing property is *lane exactness*: packed campaigns must
 produce byte-identical outcome multisets to the per-point path at every
 lane width — including vector-tier widths beyond 64, on both the
-packed-int and ndarray backings — on every executor, with and without
+packed-int and SoA backings — on every executor, with and without
 the point-filter stage.
 """
 
@@ -35,7 +35,7 @@ from repro.soft_error.seu import _golden_run, inject_seu
 
 WIDTHS = (1, 7, 64)
 VECTOR_WIDTHS = (65, 192, 1000)
-BACKINGS = ("int", "ndarray", "soa")
+BACKINGS = ("int", "soa")
 EXECUTORS = ("serial", "thread", "process")
 
 needs_numpy = pytest.mark.skipif(not vector.HAVE_NUMPY,
@@ -231,42 +231,17 @@ class TestVectorLanes:
         shutdown_pools()
 
     @needs_numpy
-    def test_ndarray_backing_survives_process_pickling(self, seq_setup):
-        circuit, workload = seq_setup
-        serial = run_campaign(
-            SeuBackend(circuit.copy(), workload, lane_width=1),
-            EngineConfig(executor="serial"))
-        shipped = run_campaign(
-            SeuBackend(circuit.copy(), workload, lane_width=192,
-                       lane_backing="ndarray"),
-            EngineConfig(batch_size=64, workers=2, executor="process"))
-        assert _rows(shipped) == _rows(serial)
-        shutdown_pools()
-
-    @needs_numpy
     def test_auto_backing_crossover(self, seq_setup, monkeypatch):
         circuit, workload = seq_setup
         ctx = lanes.build_context(circuit, workload, 256)
         assert ctx.backing == "int"  # below the crossover
-        monkeypatch.setattr(vector, "NDARRAY_MIN_LANES", 128)
+        monkeypatch.setattr(vector, "SOA_ANY_WIDTH_LANES", 128)
         ctx = lanes.build_context(circuit, workload, 256)
-        # past the old per-net crossover the SoA kernel tier takes over
-        # (it strictly dominates the per-net ndarray backing there)
+        # past the any-width crossover the SoA kernel tier takes over
         assert ctx.backing == "soa"
         monkeypatch.setenv(vector.ENV_BACKING, "int")
         ctx = lanes.build_context(circuit, workload, 256)
         assert ctx.backing == "int"  # env override beats auto
-
-    @needs_numpy
-    def test_ndarray_backing_falls_back_under_no_compile(self, seq_setup):
-        # the ndarray fast path rides the compiled step program; with
-        # compilation disabled the context must fall back to big ints
-        # (SequentialSim carries them at any width)
-        circuit, workload = seq_setup
-        with compiled.disabled():
-            ctx = lanes.build_context(circuit, workload, 192,
-                                      backing="ndarray")
-            assert ctx.backing == "int"
 
     def test_degrades_to_64_without_numpy(self, seq_setup, monkeypatch,
                                           caplog):

@@ -8,6 +8,7 @@ was reassigned — produces a CampaignReport byte-identical to a serial
 """
 
 import os
+import signal
 import threading
 import time
 
@@ -49,7 +50,7 @@ def _signature(report):
     return ([inj.row() for inj in report.injections], report.outcomes,
             report.total, report.converged,
             report.confidence_interval("failure"),
-            [(q.index, q.n_points) for q in report.quarantined])
+            [(q.index, q.n_points, q.attempts) for q in report.quarantined])
 
 
 def _config(**kw) -> EngineConfig:
@@ -293,6 +294,61 @@ class TestServiceIdentity:
         assert worker_row[6] >= config.max_chunk_retries + 1
 
 
+    @staticmethod
+    def _quarantined_chunk0_job(tmp_path, config):
+        """A finished single-worker job of 24 chunks whose chunk 0 fails
+        on every execution, next to the serial reference run."""
+        def chaotic():
+            inner = _backend(n_cycles=48)
+            trigger = inner.enumerate_points()[0]
+            return ChaosBackend(inner, [ChaosFault(trigger, mode="raise",
+                                                   failures=None)])
+
+        serial = run_campaign(chaotic(), config)
+        assert [q.index for q in serial.quarantined] == [0]
+        db_path = tmp_path / "s.sqlite"
+        with CampaignQueue(db_path) as queue:
+            job_id = queue.submit(chaotic(), config)
+        CampaignWorker(db_path, worker_id="solo").run()
+        return serial, db_path, job_id
+
+    def test_report_assembly_executes_nothing(self, tmp_path, monkeypatch):
+        """The report of a finished job is replayed from its done and
+        failed records; the quarantined chunk is not re-executed, and
+        neither is anything after it."""
+        config = _config(max_chunk_retries=1, retry_backoff_s=0.001)
+        serial, db_path, job_id = self._quarantined_chunk0_job(tmp_path,
+                                                               config)
+        calls = []
+        run_batch = SeuBackend.run_batch
+
+        def counting(self, points):
+            calls.append(len(points))
+            return run_batch(self, points)
+
+        monkeypatch.setattr(SeuBackend, "run_batch", counting)
+        with CampaignQueue(db_path) as queue:
+            assert queue.poll(job_id).n_chunks == 24
+            report = queue.result(job_id)
+        assert calls == []
+        assert _signature(report) == _signature(serial)
+
+    def test_early_stop_walk_passes_a_quarantined_chunk(self, tmp_path):
+        """With chunk 0 quarantined, the service's convergence walk
+        carries on past it and stops on serial's chunk."""
+        config = _config(max_chunk_retries=1, retry_backoff_s=0.001,
+                         early_stop=EarlyStop(margin=0.08,
+                                              min_injections=50))
+        serial, db_path, job_id = self._quarantined_chunk0_job(tmp_path,
+                                                               config)
+        assert serial.converged and serial.executed == 5 * 24
+        with CampaignQueue(db_path) as queue:
+            job = queue.poll(job_id)
+            report = queue.result(job_id)
+        assert job.converged_chunk == 5
+        assert _signature(report) == _signature(serial)
+
+
 # ----------------------------------------------------------------------
 # host chaos, in-process: stale workers, frozen heartbeats, clock skew
 # ----------------------------------------------------------------------
@@ -347,20 +403,28 @@ class TestHostChaosThreaded:
 class TestHostChaosProcesses:
     def test_sigkilled_worker_is_recovered(self, tmp_path):
         """SIGKILL mid-chunk: the dead worker's lease expires and a
-        peer finishes the chunk; the report never notices."""
+        peer finishes the chunk; the report never notices.  The peers
+        are held until the scripted worker has died on its 2nd claim,
+        so the fault fires on every run instead of racing a drained
+        queue."""
         config = _config(batch_size=12)
         serial = run_campaign(_backend(n_cycles=24), config)
-        report = run_service_campaign(
-            _backend(n_cycles=24), config,
-            db_path=tmp_path / "s.sqlite", n_workers=3,
-            worker_kwargs={"lease_ttl": 1.0},
-            per_worker={1: {"chaos": HostChaos(
-                [HostFault("sigkill", after_chunks=2)])}},
-            wait_timeout=120)
+        db_path = tmp_path / "s.sqlite"
+        with CampaignQueue(db_path) as queue:
+            job_id = queue.submit(_backend(n_cycles=24), config)
+        victim = LocalWorkerPool(db_path, 1, worker_kwargs={
+            "lease_ttl": 1.0, "worker_id": "victim",
+            "chaos": HostChaos([HostFault("sigkill", after_chunks=2)])})
+        victim.start()
+        victim.join(timeout=60)
+        assert victim.procs[0].exitcode == -signal.SIGKILL  # it fired
+        with LocalWorkerPool(db_path, 2, worker_kwargs={"lease_ttl": 1.0}):
+            with CampaignQueue(db_path) as queue:
+                job = queue.wait(job_id, timeout=120)
+                assert job.state == "done", job
+                report = queue.result(job_id)
+                assert queue.leases.takeover_total(job.campaign_id) >= 1
         assert _signature(report) == _signature(serial)
-        with CampaignQueue(tmp_path / "s.sqlite") as queue:
-            campaign_id = queue.poll(1).campaign_id
-            assert queue.leases.takeover_total(campaign_id) >= 1
 
     def test_sigterm_drains_gracefully(self, tmp_path):
         """SIGTERM: the worker finishes its in-flight chunk, releases

@@ -264,8 +264,8 @@ class TestSoaLanes:
         monkeypatch.setattr(vector, "SOA_MIN_LEVEL_WIDTH", 32)
         ctx = lanes.build_context(circuit, workload, 256, backing="soa")
         assert ctx.backing == "soa"
-        # beyond the per-net crossover SoA takes over regardless
-        monkeypatch.setattr(vector, "NDARRAY_MIN_LANES", 256)
+        # beyond the any-width crossover SoA takes over regardless
+        monkeypatch.setattr(vector, "SOA_ANY_WIDTH_LANES", 256)
         ctx = lanes.build_context(circuit, workload, 256)
         assert ctx.backing == "soa"
 
@@ -383,8 +383,6 @@ class TestVectorHelpers:
         # register restores: calibration rewrites the module crossovers
         monkeypatch.setattr(vector, "_calibrated", None)
         monkeypatch.setattr(vector, "SOA_MIN_LANES", vector.SOA_MIN_LANES)
-        monkeypatch.setattr(vector, "NDARRAY_MIN_LANES",
-                            vector.NDARRAY_MIN_LANES)
         first = vector.calibrate_crossover(level_width=8,
                                            candidates=(64, 256))
         assert first in (64, 256, 1 << 62)
