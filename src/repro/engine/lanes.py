@@ -22,10 +22,9 @@ sizes), so a ``W``-lane run replaces ``W`` sequential resimulations.
 
 Widths beyond 64 engage the **vector tier**: the packed word outgrows
 the machine word and is carried by an arbitrary-precision int (big-int
-ops stay near width-insensitive to very large widths), by a numpy
-``uint64`` block array per net fed through the same compiled step
-function, or — the default from ~1k lanes on circuits with wide
-levels — by the structure-of-arrays kernel tier
+ops stay near width-insensitive to very large widths) or — the
+default from ~1k lanes on circuits with wide levels — by the
+structure-of-arrays kernel tier
 (:class:`repro.sim.compiled.SoaStepProgram`), which holds the whole
 net state in one 2-D block matrix and runs each topological level as a
 handful of fused numpy calls.  The backing auto-picks per
@@ -59,8 +58,8 @@ from typing import Any, Callable, Mapping, Sequence
 from ..circuit.netlist import Circuit
 from ..sim import compiled as _compiled
 from ..sim import vector as _vector
-from ..sim.logic import mask_of, simulate
-from ..sim.sequential import SequentialSim
+from ..sim.logic import mask_of
+from ..sim.sequential import SequentialSim, golden_pass
 from .core import _chunked
 
 log = logging.getLogger("repro.engine")
@@ -142,11 +141,14 @@ def packed_dispatch(
 class LaneContext:
     """Replicated golden-run data shared by every packed run.
 
-    Built once per backend ``prepare()`` and never pickled (workers
-    rebuild it): the stimulus and the golden PO trace replicated across
-    ``width`` lanes, plus the 1-bit golden state *entering* each cycle
-    (what a packed run starting mid-workload is seeded from) and the
-    1-bit golden final state (the latent check reference).
+    Built once per backend ``prepare()`` from the backend's single
+    golden pass and never pickled (workers rebuild it): the stimulus
+    and the golden PO trace replicated across ``width`` lanes, plus the
+    1-bit golden run itself — the PO trace, the state *entering* each
+    cycle (what a packed run starting mid-workload is seeded from) and
+    the final state (the latent check reference).  A packed
+    :class:`repro.engine.backends.SeuBackend` also takes its per-point
+    ``(trace, final_state)`` golden reference from here.
     """
 
     circuit: Circuit
@@ -156,6 +158,7 @@ class LaneContext:
     rep_trace: list[dict[str, int]]
     states: list[dict[str, int]]
     final_state: dict[str, int]
+    trace: list[dict[str, int]]
     #: ``"int"`` (packed big int — any width) or ``"soa"`` (the
     #: level-batched structure-of-arrays kernel).
     backing: str = "int"
@@ -223,15 +226,19 @@ def build_context(
     circuit: Circuit,
     stimuli: Sequence[Mapping[str, int]],
     width: int,
-    golden: tuple[list[dict[str, int]], list[dict[str, int]]] | None = None,
+    golden: tuple[list[dict[str, int]], list[dict[str, int]],
+                  dict[str, int]] | None = None,
     backing: str | None = None,
 ) -> LaneContext:
-    """Run (or reuse) the golden pass and replicate it across lanes.
+    """Replicate the golden pass across lanes.
 
-    ``golden`` may hand in an existing ``(states, values)`` pair in the
-    :func:`repro.safety.slicing._golden_states` format — per-cycle
-    entering states plus full net values — to avoid a second golden
-    simulation when the backend already keeps one.
+    ``golden`` is the 1-bit ``(states, trace, final_state)`` triple of
+    :func:`repro.sim.sequential.golden_pass`; without it that pass runs
+    here, once, on the compiled step kernel.  A backend that already
+    holds a golden run of its own hands it in adapted to the triple
+    (:class:`repro.engine.workloads.SlicingBackend` keeps full net
+    values for its injection cycle), so no context costs a second
+    golden simulation.
 
     ``backing`` selects the packed-word representation for widths
     beyond 64 (``None`` auto-picks per :func:`repro.sim.vector
@@ -259,25 +266,8 @@ def build_context(
                 width, st.gates, st.levels,
                 st.gates / max(1, st.levels), st.fused_ops,
                 st.scratch_bytes)
-    if golden is not None:
-        states = [dict(st) for st in golden[0]]
-        values = golden[1]
-        trace = [{po: vals.get(po, 0) & 1 for po in circuit.outputs}
-                 for vals in values]
-        final_state = ({q: values[-1][f.d] & 1
-                        for q, f in circuit.flops.items()} if values else
-                       dict(states[0]) if states else
-                       {q: (1 if f.init else 0)
-                        for q, f in circuit.flops.items()})
-    else:
-        state = {q: (1 if f.init else 0) for q, f in circuit.flops.items()}
-        states, trace = [], []
-        for stim in stimuli:
-            vals = simulate(circuit, stim, 1, state)
-            states.append(state)
-            trace.append({po: vals.get(po, 0) & 1 for po in circuit.outputs})
-            state = {q: vals[f.d] & 1 for q, f in circuit.flops.items()}
-        final_state = state
+    states, trace, final_state = (golden if golden is not None
+                                  else golden_pass(circuit, stimuli))
     rep_stimuli = [
         {pi: (mask if (stim.get(pi, 0) & 1) else 0) for pi in circuit.inputs}
         for stim in stimuli
@@ -285,7 +275,7 @@ def build_context(
     rep_trace = [{po: (mask if bit else 0) for po, bit in cyc.items()}
                  for cyc in trace]
     return LaneContext(circuit, width, mask, rep_stimuli, rep_trace,
-                       states, final_state, backing=resolved_backing,
+                       states, final_state, trace, backing=resolved_backing,
                        n_blocks=_vector.blocks_for(width))
 
 

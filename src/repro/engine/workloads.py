@@ -410,10 +410,19 @@ class SlicingBackend:
             self._golden = _golden_states(self.circuit, self.stimuli)
         if self.lane_width > 1 and self._lane_ctx is None:
             # the lane context replicates the golden pass already held in
-            # ``_golden`` — no second golden simulation
+            # ``_golden`` (states + full net values), adapted to the
+            # 1-bit (states, trace, final state) triple — no second
+            # golden simulation
+            states, values = self._golden
+            flops = self.circuit.flops
+            trace = [{po: vals[po] for po in self.circuit.outputs}
+                     for vals in values]
+            final_state = ({q: values[-1][f.d] for q, f in flops.items()}
+                           if values else
+                           {q: (1 if f.init else 0) for q, f in flops.items()})
             self._lane_ctx = lanes.build_context(
                 self.circuit, self.stimuli, self.lane_width,
-                golden=self._golden,
+                golden=(states, trace, final_state),
                 backing=getattr(self, "lane_backing", None))
 
     def __getstate__(self) -> dict:

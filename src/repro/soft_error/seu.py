@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from ..circuit.netlist import Circuit
-from ..sim.sequential import SequentialSim
+from ..sim.sequential import SequentialSim, golden_pass
 
 MASKED = "masked"
 LATENT = "latent"
@@ -73,9 +73,9 @@ class SeuCampaignResult:
 
 
 def _golden_run(circuit: Circuit, stimuli: Sequence[Mapping[str, int]]):
-    sim = SequentialSim(circuit, 1)
-    trace = [dict(out) for out in sim.run(stimuli)]
-    return trace, dict(sim.state)
+    """``(PO trace, final state)`` of the fault-free run."""
+    _states, trace, final_state = golden_pass(circuit, stimuli)
+    return trace, final_state
 
 
 def inject_seu(

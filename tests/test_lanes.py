@@ -9,13 +9,14 @@ the point-filter stage.
 """
 
 import logging
+import pickle
 from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuit import load
+from repro.circuit import Circuit, load
 from repro.circuit.library import random_sequential
 from repro.engine import (
     CompositeBackend,
@@ -30,6 +31,7 @@ from repro.engine import lanes
 from repro.engine.workloads import GpgpuSeuBackend
 from repro.faults import collapse
 from repro.sim import compiled, vector
+from repro.sim.sequential import SequentialSim, golden_pass
 from repro.soft_error import random_workload
 from repro.soft_error.seu import _golden_run, inject_seu
 
@@ -152,6 +154,135 @@ class TestSeuLanes:
         second = run_campaign(backend, EngineConfig(executor="serial"))
         assert len(calls) == n_first  # cached: no recompute on rerun
         assert _rows(first) == _rows(second)
+
+
+# ----------------------------------------------------------------------
+# the one golden pass (sequential.golden_pass) and who shares it
+# ----------------------------------------------------------------------
+def _golden_probe_circuit() -> Circuit:
+    """Dead gates outside every PO/D cone, a PI wired straight to a PO,
+    and a PO that is a flop Q."""
+    c = Circuit("golden_probe")
+    for pi in ("a", "b", "c"):
+        c.add_input(pi)
+    c.add_flop("q0", "d0", init=0)
+    c.add_flop("q1", "d1", init=1)
+    c.add_flop("q2", "b", init=0)
+    c.add_gate("n0", "AND", ["a", "q1"])
+    c.add_gate("d0", "XOR", ["n0", "q0"])
+    c.add_gate("d1", "NOR", ["q0", "c"])
+    c.add_gate("y", "OR", ["d0", "q2"])
+    c.add_gate("dead0", "NAND", ["a", "q2"])  # no PO or D reads these
+    c.add_gate("dead1", "XOR", ["dead0", "c"])
+    for po in ("y", "b", "q1"):
+        c.add_output(po)
+    c.validate()
+    return c
+
+
+def _interpreter_golden(circuit, stimuli):
+    """Reference: states entering each cycle, PO trace, final state."""
+    with compiled.disabled():
+        sim = SequentialSim(circuit, 1)
+        states, trace = [], []
+        for stim in stimuli:
+            states.append(dict(sim.state))
+            trace.append(dict(sim.step(stim)))
+        return states, trace, dict(sim.state)
+
+
+GOLDEN_WIDTHS = [(64, None),
+                 pytest.param(4096, "soa", marks=needs_numpy)]
+GOLDEN_STIMULI = {
+    "workload": [{"a": i * 5 % 3 & 1, "b": i // 2 & 1,
+                  "c": int(i % 3 == 0)} for i in range(13)],
+    "empty": [],
+}
+
+
+class TestGoldenPass:
+    @pytest.mark.parametrize("stimuli", GOLDEN_STIMULI.values(),
+                             ids=GOLDEN_STIMULI.keys())
+    @pytest.mark.parametrize("width,backing", GOLDEN_WIDTHS)
+    def test_every_consumer_matches_the_interpreter(self, stimuli, width,
+                                                    backing):
+        circuit = _golden_probe_circuit()
+        states, trace, final = _interpreter_golden(circuit, stimuli)
+        assert golden_pass(circuit, stimuli) == (states, trace, final)
+        assert _golden_run(circuit, stimuli) == (trace, final)
+        mask = (1 << width) - 1
+        ctx = lanes.build_context(circuit, stimuli, width, backing=backing)
+        assert ctx.backing == (backing or "int")
+        assert ctx.states == states
+        assert ctx.final_state == final
+        assert ctx.rep_trace == [{po: mask if bit else 0
+                                  for po, bit in cyc.items()}
+                                 for cyc in trace]
+        backend = SeuBackend(circuit, stimuli, lane_width=width,
+                             lane_backing=backing)
+        backend.prepare()
+        assert backend._golden == (trace, final)
+
+    def test_interpreter_fallback_is_the_same_pass(self):
+        circuit = _golden_probe_circuit()
+        stimuli = GOLDEN_STIMULI["workload"]
+        with compiled.disabled():
+            got = golden_pass(circuit, stimuli)
+        assert got == _interpreter_golden(circuit, stimuli)
+        assert got[0][0] == {"q0": 0, "q1": 1, "q2": 0}  # init state
+
+    @pytest.fixture
+    def golden_counters(self, monkeypatch):
+        """Counts full-circuit evaluations and step-kernel evaluations."""
+        counts = {"full_run": 0, "full_factory": 0, "steps": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(compiled.CircuitProgram, "run", counting(
+            "full_run", compiled.CircuitProgram.run))
+        monkeypatch.setattr(compiled, "circuit_program", counting(
+            "full_factory", compiled.circuit_program))
+        plain_fn = compiled.CompiledProgram.fn
+
+        def fn(program):
+            got = plain_fn.fget(program)
+            if program.name.startswith("step:"):
+                return counting("steps", got)
+            return got
+
+        monkeypatch.setattr(compiled.CompiledProgram, "fn", property(fn))
+        return counts
+
+    @pytest.mark.parametrize("width,backing", GOLDEN_WIDTHS)
+    def test_packed_prepare_runs_one_step_kernel_pass(
+            self, seq_setup, golden_counters, width, backing):
+        circuit, workload = seq_setup
+        backend = SeuBackend(circuit.copy(), workload, lane_width=width,
+                             lane_backing=backing)
+        backend.prepare()
+        assert golden_counters == {"full_run": 0, "full_factory": 0,
+                                   "steps": len(workload)}
+        backend.prepare()  # idempotent: no second pass
+        assert golden_counters["steps"] == len(workload)
+
+    def test_unpickled_clone_builds_no_circuit_program(self, seq_setup,
+                                                       golden_counters):
+        circuit, workload = seq_setup
+        backend = SeuBackend(circuit.copy(), workload)
+        backend.prepare()
+        clone = pickle.loads(pickle.dumps(backend))  # as a pool worker
+        for key in golden_counters:
+            golden_counters[key] = 0
+        clone.prepare()
+        points = list(clone.enumerate_points())[:64]
+        assert clone.run_batch(points) == backend.run_batch(points)
+        assert golden_counters["full_factory"] == 0
+        assert golden_counters["full_run"] == 0
+        assert "full" not in clone.circuit._program_cache
 
 
 # ----------------------------------------------------------------------
