@@ -244,26 +244,18 @@ class SeuBackend:
         return kept, skipped
 
     def prepare(self) -> None:
-        """Run the golden pass once (idempotent: re-run per worker).
-
-        A packed backend's one golden simulation is the step-kernel pass
-        inside :func:`repro.engine.lanes.build_context`; ``_golden``,
-        the ``(trace, final_state)`` pair of the per-point path, is
-        taken from that lane context.  ``lane_width=1`` builds no
-        context and runs :func:`_golden_run`, the same pass.
-        """
-        if self.lane_width > 1 and self._lane_ctx is None:
-            self._lane_ctx = lanes.build_context(
-                self.circuit, self.stimuli, self.lane_width,
-                backing=getattr(self, "lane_backing", None))
-        if self._golden is None:
-            ctx = self._lane_ctx
-            self._golden = (_golden_run(self.circuit, self.stimuli)
-                            if ctx is None else (ctx.trace, ctx.final_state))
+        """Run the one golden pass (idempotent: re-run per worker): the
+        lane context's when packed, else ``_golden_run`` for ``_golden``."""
+        if self.lane_width > 1:
+            if self._lane_ctx is None:
+                self._lane_ctx = lanes.build_context(
+                    self.circuit, self.stimuli, self.lane_width,
+                    backing=getattr(self, "lane_backing", None))
+        elif self._golden is None:
+            self._golden = _golden_run(self.circuit, self.stimuli)
 
     def __getstate__(self) -> dict:
-        """The golden run and the lane context built from it are dropped:
-        a worker process re-runs the one golden pass in ``prepare``."""
+        """The golden run is dropped: workers re-run it in ``prepare``."""
         state = self.__dict__.copy()
         state["_golden"] = None
         state["_lane_ctx"] = None

@@ -141,14 +141,12 @@ def packed_dispatch(
 class LaneContext:
     """Replicated golden-run data shared by every packed run.
 
-    Built once per backend ``prepare()`` from the backend's single
-    golden pass and never pickled (workers rebuild it): the stimulus
-    and the golden PO trace replicated across ``width`` lanes, plus the
-    1-bit golden run itself — the PO trace, the state *entering* each
-    cycle (what a packed run starting mid-workload is seeded from) and
-    the final state (the latent check reference).  A packed
-    :class:`repro.engine.backends.SeuBackend` also takes its per-point
-    ``(trace, final_state)`` golden reference from here.
+    Built once per backend ``prepare()`` from its one golden pass and
+    never pickled (workers rebuild it): the stimulus and the golden PO
+    trace replicated across ``width`` lanes, plus the 1-bit golden state
+    *entering* each cycle (what a packed run starting mid-workload is
+    seeded from) and the 1-bit golden final state (the latent check
+    reference).  A packed ``SeuBackend`` keeps no other golden data.
     """
 
     circuit: Circuit
@@ -158,7 +156,6 @@ class LaneContext:
     rep_trace: list[dict[str, int]]
     states: list[dict[str, int]]
     final_state: dict[str, int]
-    trace: list[dict[str, int]]
     #: ``"int"`` (packed big int — any width) or ``"soa"`` (the
     #: level-batched structure-of-arrays kernel).
     backing: str = "int"
@@ -232,13 +229,10 @@ def build_context(
 ) -> LaneContext:
     """Replicate the golden pass across lanes.
 
-    ``golden`` is the 1-bit ``(states, trace, final_state)`` triple of
-    :func:`repro.sim.sequential.golden_pass`; without it that pass runs
-    here, once, on the compiled step kernel.  A backend that already
-    holds a golden run of its own hands it in adapted to the triple
-    (:class:`repro.engine.workloads.SlicingBackend` keeps full net
-    values for its injection cycle), so no context costs a second
-    golden simulation.
+    ``golden`` hands in the 1-bit ``(states, trace, final_state)``
+    triple of :func:`repro.sim.sequential.golden_pass` from a backend
+    that already holds a golden run (``SlicingBackend`` adapts its
+    own); without it that pass runs here, on the step kernel.
 
     ``backing`` selects the packed-word representation for widths
     beyond 64 (``None`` auto-picks per :func:`repro.sim.vector
@@ -275,7 +269,7 @@ def build_context(
     rep_trace = [{po: (mask if bit else 0) for po, bit in cyc.items()}
                  for cyc in trace]
     return LaneContext(circuit, width, mask, rep_stimuli, rep_trace,
-                       states, final_state, trace, backing=resolved_backing,
+                       states, final_state, backing=resolved_backing,
                        n_blocks=_vector.blocks_for(width))
 
 

@@ -409,10 +409,8 @@ class SlicingBackend:
 
             self._golden = _golden_states(self.circuit, self.stimuli)
         if self.lane_width > 1 and self._lane_ctx is None:
-            # the lane context replicates the golden pass already held in
-            # ``_golden`` (states + full net values), adapted to the
-            # 1-bit (states, trace, final state) triple — no second
-            # golden simulation
+            # the golden pass already held in ``_golden``, adapted to the
+            # (states, trace, final state) triple: no second simulation
             states, values = self._golden
             flops = self.circuit.flops
             trace = [{po: vals[po] for po in self.circuit.outputs}

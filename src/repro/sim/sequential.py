@@ -14,8 +14,6 @@ evaluate-then-capture interpreter below is the reference path, selected
 by ``compile=False`` or ``RESCUE_NO_COMPILE=1``.  The
 :meth:`SequentialSim.flip_state` SEU-injection hook mutates ``state``
 between steps and is oblivious to which path executes them.
-:func:`golden_pass` is the one fault-free 1-bit run every SEU and lane
-golden reference comes from.
 """
 
 from __future__ import annotations
@@ -84,30 +82,16 @@ def golden_pass(
 
     ``states[c]`` is the flop state entering cycle ``c``, ``trace[c]``
     the primary outputs of cycle ``c`` and ``final_state`` the state
-    after the last cycle (the init state for an empty workload).  The
-    compiled step kernel is driven on slot tuples, so each cycle
-    evaluates only the observables' cone of influence and builds no
-    dict of every net; with compilation disabled the
-    :class:`SequentialSim` interpreter yields the same three values.
+    after the last cycle (the init state for an empty workload), each
+    cycle one :meth:`SequentialSim.step` on the compiled step kernel.
     """
+    sim = SequentialSim(circuit, 1)
     states: list[dict[str, int]] = []
     trace: list[dict[str, int]] = []
-    program = _compiled.step_program(circuit)
-    if program is None:
-        sim = SequentialSim(circuit, 1)
-        for stim in stimuli:
-            states.append(sim.state)  # step() replaces, never mutates it
-            trace.append(sim.step(stim))
-        return states, trace, sim.state
-    fn = program.program.fn
-    inputs, qs, outputs = program.inputs, program.flop_qs, program.outputs
-    state = tuple(1 if init else 0 for init in program.flop_inits)
     for stim in stimuli:
-        states.append(dict(zip(qs, state)))
-        out, state = fn(tuple(stim.get(pi, 0) & 1 for pi in inputs),
-                        state, 1)
-        trace.append(dict(zip(outputs, out)))
-    return states, trace, dict(zip(qs, state))
+        states.append(sim.state)  # step() replaces, never mutates it
+        trace.append(sim.step(stim))
+    return states, trace, sim.state
 
 
 def output_trace(

@@ -73,9 +73,7 @@ class SeuCampaignResult:
 
 
 def _golden_run(circuit: Circuit, stimuli: Sequence[Mapping[str, int]]):
-    """``(PO trace, final state)`` of the fault-free run."""
-    _states, trace, final_state = golden_pass(circuit, stimuli)
-    return trace, final_state
+    return golden_pass(circuit, stimuli)[1:]  # (PO trace, final state)
 
 
 def inject_seu(

@@ -218,18 +218,17 @@ class TestGoldenPass:
         assert ctx.rep_trace == [{po: mask if bit else 0
                                   for po, bit in cyc.items()}
                                  for cyc in trace]
-        backend = SeuBackend(circuit, stimuli, lane_width=width,
-                             lane_backing=backing)
-        backend.prepare()
-        assert backend._golden == (trace, final)
-
-    def test_interpreter_fallback_is_the_same_pass(self):
-        circuit = _golden_probe_circuit()
-        stimuli = GOLDEN_STIMULI["workload"]
-        with compiled.disabled():
-            got = golden_pass(circuit, stimuli)
-        assert got == _interpreter_golden(circuit, stimuli)
-        assert got[0][0] == {"q0": 0, "q1": 1, "q2": 0}  # init state
+        packed = SeuBackend(circuit, stimuli, lane_width=width,
+                            lane_backing=backing)
+        packed.prepare()
+        assert packed._golden is None  # the lane context is its reference
+        assert (packed._lane_ctx.states, packed._lane_ctx.rep_trace,
+                packed._lane_ctx.final_state) \
+            == (ctx.states, ctx.rep_trace, ctx.final_state)
+        per_point = SeuBackend(circuit, stimuli, lane_width=1)
+        per_point.prepare()
+        assert per_point._lane_ctx is None
+        assert per_point._golden == (trace, final)
 
     @pytest.fixture
     def golden_counters(self, monkeypatch):
@@ -266,7 +265,9 @@ class TestGoldenPass:
         backend.prepare()
         assert golden_counters == {"full_run": 0, "full_factory": 0,
                                    "steps": len(workload)}
+        ctx = backend._lane_ctx
         backend.prepare()  # idempotent: no second pass
+        assert backend._lane_ctx is ctx
         assert golden_counters["steps"] == len(workload)
 
     def test_unpickled_clone_builds_no_circuit_program(self, seq_setup,
